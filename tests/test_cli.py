@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -201,6 +202,21 @@ def test_bounds_theorem1_cli(capsys):
     assert row["m_certified"] is False
     code, _, err = run_cli(capsys, "bounds", "--n", "5", "--theorem1")
     assert code == 2 and "16" in err
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    # n = 1 and 2 carry the null b_eps_bound / c_leading / m_leading columns
+    ("bounds_grid.jsonl", ["--n-grid", "1,2,3,-7,16,-20,1000000",
+                           "--eps-grid", "1,1/2,1/10"]),
+    ("bounds_theorem1.jsonl", ["--n-grid", "16,-20,1000000", "--theorem1"]),
+])
+def test_bounds_output_matches_golden_bytes(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, "bounds", *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_bounds_requires_eps_without_theorem1(capsys):
