@@ -8,120 +8,56 @@ facts on concrete instances, and tabulates certified counting bounds.
 """
 
 from .audits import (
-    GapAuditRecord,
-    Lemma2Verdict,
-    LemmaThreeWitness,
     PreconditionNotMetError,
     WitnessNotFoundError,
     audit_gap_corollary,
     audit_gap_lemma5,
     audit_lemma2,
     find_witness_e,
-    lemma2_verdict,
 )
 from .bounds import (
-    BetaSequence,
-    BoundReport,
-    EpsilonThresholds,
-    Estimate,
-    IndexTooSmallError,
     NotApplicableError,
     a_eps_bound,
     b_eps_bound,
     beta,
+    bound_report,
     c_bound_leading,
     ell_epsilon,
     k_epsilon,
     m_bound_report,
-    thresholds,
 )
-from .exact import (
-    ceil_sqrt,
-    integer_sqrt,
-    is_perfect_square,
-    pow_compare,
-    pow_le,
-    square_root_if_square,
-)
-from .search import (
-    SearchConfig,
-    SearchReport,
-    candidates_for,
-    empirical_max_size,
-    search_maximal,
-)
-from .serialize import ARTIFACT_VERSION, RunManifest, canonical_json
-from .tuples import (
-    DTuple,
-    DuplicateElementError,
-    EmptyInputError,
-    InputError,
-    InvalidRangeError,
-    NonPositiveElementError,
-    PairWitness,
-    RangeClassification,
-    VerificationFailure,
-    ZeroNError,
-    candidates_in_window,
-    classify,
-    extend,
-    verify,
-)
+from .search import SearchConfig, SearchReport, empirical_max_size, search_maximal
+from .serialize import ARTIFACT_VERSION
+from .tuples import DTuple, InputError, VerificationFailure, classify, extend, verify
 
 __version__ = ARTIFACT_VERSION
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "BetaSequence",
-    "BoundReport",
     "DTuple",
-    "DuplicateElementError",
-    "EmptyInputError",
-    "EpsilonThresholds",
-    "Estimate",
-    "GapAuditRecord",
-    "IndexTooSmallError",
     "InputError",
-    "InvalidRangeError",
-    "Lemma2Verdict",
-    "LemmaThreeWitness",
-    "NonPositiveElementError",
     "NotApplicableError",
-    "PairWitness",
     "PreconditionNotMetError",
-    "RangeClassification",
-    "RunManifest",
     "SearchConfig",
     "SearchReport",
     "VerificationFailure",
     "WitnessNotFoundError",
-    "ZeroNError",
     "a_eps_bound",
     "audit_gap_corollary",
     "audit_gap_lemma5",
     "audit_lemma2",
     "b_eps_bound",
     "beta",
+    "bound_report",
     "c_bound_leading",
-    "candidates_for",
-    "candidates_in_window",
-    "canonical_json",
-    "ceil_sqrt",
     "classify",
     "ell_epsilon",
     "empirical_max_size",
     "extend",
     "find_witness_e",
-    "integer_sqrt",
-    "is_perfect_square",
     "k_epsilon",
-    "lemma2_verdict",
     "m_bound_report",
-    "pow_compare",
-    "pow_le",
     "search_maximal",
-    "square_root_if_square",
-    "thresholds",
     "verify",
     "__version__",
 ]

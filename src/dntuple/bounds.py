@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -34,28 +33,16 @@ class NotApplicableError(ValueError):
     """The bound's hypothesis excludes this n."""
 
 
-class BetaSequence:
-    """Lazily extended values of beta_2=beta_3=1, beta_{i+2}=beta_i+beta_{i+1}."""
-
-    def __init__(self):
-        self._vals = [1, 1]  # beta_2, beta_3
-        self._lock = threading.Lock()  # growth is the only mutation
-
-    def __getitem__(self, i: int) -> int:
-        if i < 2:
-            raise IndexTooSmallError(f"beta is defined for i >= 2, got {i}")
-        if i - 1 > len(self._vals):
-            with self._lock:
-                while len(self._vals) < i - 1:
-                    self._vals.append(self._vals[-2] + self._vals[-1])
-        return self._vals[i - 2]
-
-
-_BETA = BetaSequence()
+_BETA = [1, 1]  # beta_2, beta_3, extended on demand
 
 
 def beta(i: int) -> int:
-    return _BETA[i]
+    """beta_i of beta_2 = beta_3 = 1, beta_{i+2} = beta_i + beta_{i+1}."""
+    if i < 2:
+        raise IndexTooSmallError(f"beta is defined for i >= 2, got {i}")
+    while len(_BETA) < i - 1:
+        _BETA.append(_BETA[-2] + _BETA[-1])
+    return _BETA[i - 2]
 
 
 def _as_epsilon(value) -> Fraction:
@@ -153,15 +140,37 @@ def c_bound_leading(n: int) -> Estimate:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Every bound at one (n, eps); None where the bound's hypothesis excludes n."""
+
     n: int
     epsilon: Fraction
     k: int
     ell: int
     a_eps_bound: int
-    b_eps_bound: int
-    c_bound_leading: Estimate
-    m_bound_leading: Estimate
+    b_eps_bound: int | None  # needs |n| >= 2
+    c_bound_leading: Estimate | None  # needs |n| >= 3
+    m_bound_leading: Estimate | None  # needs |n| >= 3
     notes: tuple[str, ...] = ()
+
+
+def bound_report(n: int, epsilon) -> BoundReport:
+    """All bounds at one (n, eps): k, ell, the A-part, the window cap and the estimates."""
+    if n == 0:
+        raise ZeroNError("n must be nonzero")
+    th = thresholds(epsilon)
+    a = th.k + th.ell
+    b = b_eps_bound(n, th.epsilon) if abs(n) >= 2 else None
+    c = c_bound_leading(n) if abs(n) >= 3 else None
+    return BoundReport(
+        n=n,
+        epsilon=th.epsilon,
+        k=th.k,
+        ell=th.ell,
+        a_eps_bound=a,
+        b_eps_bound=b,
+        c_bound_leading=c,
+        m_bound_leading=None if c is None else Estimate(value=a + b + c.value),
+    )
 
 
 def _prescribed_epsilon_bracket(m: int) -> tuple[Fraction, Fraction]:
@@ -189,24 +198,17 @@ def m_bound_report(n: int) -> BoundReport:
     if abs(n) < 16:
         raise NotApplicableError("prescribed-epsilon report needs |n| >= 16")
     eps_lo, eps_hi = _prescribed_epsilon_bracket(abs(n))
-    k_lo, ell_lo = k_epsilon(eps_lo), ell_epsilon(eps_lo)
-    k_hi, ell_hi = k_epsilon(eps_hi), ell_epsilon(eps_hi)
+    rep = bound_report(n, eps_hi)
+    lo = thresholds(eps_lo)
     # max of the two evaluations; ties broken toward the lower-eps pair
-    if k_hi + ell_hi > k_lo + ell_lo:
-        k, ell = k_hi, ell_hi
-    else:
-        k, ell = k_lo, ell_lo
-    b = b_eps_bound(n, eps_hi)
-    c = c_bound_leading(n)
-    return BoundReport(
-        n=n,
-        epsilon=eps_hi,
+    k, ell = (rep.k, rep.ell) if rep.a_eps_bound > lo.k + lo.ell else (lo.k, lo.ell)
+    a = k + ell
+    return replace(
+        rep,
         k=k,
         ell=ell,
-        a_eps_bound=k + ell,
-        b_eps_bound=b,
-        c_bound_leading=c,
-        m_bound_leading=Estimate(value=k + ell + b + c.value, certified=False),
+        a_eps_bound=a,
+        m_bound_leading=Estimate(value=a + rep.b_eps_bound + rep.c_bound_leading.value),
         notes=(
             f"prescribed epsilon bracketed in [{eps_lo}, {eps_hi}]; "
             "thresholds evaluated at both ends and the larger certified "

@@ -1,19 +1,22 @@
 """Command-line driver: verify, extend, search, audit, witness, bounds, report.
 
 Exit codes: 0 success, 1 verification or audit failure findings, 2 usage
-error. All output goes through the canonical emitters, manifest first,
-so identical invocations produce identical bytes; timestamps are opt-in
+error or malformed input, 3 an unexpected internal error. All output
+goes through the canonical emitters, manifest first, so identical
+invocations produce identical bytes; timestamps are opt-in
 (--timestamps) precisely because they break that.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import itertools
 import os
 import sys
+import traceback
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any
@@ -27,14 +30,7 @@ from .audits import (
     audit_lemma2,
     find_witness_e,
 )
-from .bounds import (
-    NotApplicableError,
-    b_eps_bound,
-    c_bound_leading,
-    ell_epsilon,
-    k_epsilon,
-    m_bound_report,
-)
+from .bounds import NotApplicableError, bound_report, m_bound_report
 from .search import SearchConfig, search_maximal
 from .serialize import (
     ARTIFACT_VERSION,
@@ -47,6 +43,7 @@ from .serialize import (
     read_jsonl,
     render_csv,
     search_report_objs,
+    tuple_fields,
     tuple_to_obj,
     tuples_from_records,
     witness_to_obj,
@@ -72,10 +69,6 @@ def _rational_arg(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 1/2, got {s!r}")
 
 
-def _int_grid_arg(s: str) -> tuple[int, ...]:
-    return _elements_arg(s)
-
-
 def _eps_grid_arg(s: str) -> tuple[Fraction, ...]:
     return tuple(_rational_arg(part) for part in s.split(","))
 
@@ -91,7 +84,10 @@ def _checks_arg(s: str) -> tuple[str, ...]:
 
 
 def _text(blob: bytes) -> io.StringIO:
-    return io.StringIO(blob.decode("utf-8"))
+    try:
+        return io.StringIO(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8: {exc}") from exc
 
 
 def _manifest(command: str, parameters: dict[str, Any], timestamps: bool,
@@ -111,13 +107,29 @@ def _manifest(command: str, parameters: dict[str, Any], timestamps: bool,
     )
 
 
+def _output(args, write) -> None:
+    """Run write(stream) on stdout, or on --out as a whole file or none.
+
+    The file is written beside its target under a temporary name, with the
+    mode a plain open() gives, and renamed over the target only once
+    write() has returned.
+    """
+    if not args.out:
+        write(sys.stdout)
+        return
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, args.out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(args, objs, manifest: RunManifest) -> None:
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_jsonl(fh, objs, manifest)
-    else:
-        write_jsonl(sys.stdout, objs, manifest)
+    _output(args, lambda fh: write_jsonl(fh, objs, manifest))
 
 
 def _failure_obj(fail: VerificationFailure) -> dict:
@@ -143,7 +155,8 @@ def cmd_verify(args) -> int:
         for rec in records:
             if rec.get("record") != "dtuple":
                 continue
-            result = verify(tuple(rec["elements"]), rec["n"])
+            n, elements = tuple_fields(rec)
+            result = verify(elements, n)
             if isinstance(result, VerificationFailure):
                 bad += 1
                 objs.append(_failure_obj(result))
@@ -284,36 +297,6 @@ def cmd_audit(args) -> int:
     return 1 if failures else 0
 
 
-def _bound_row(n: int, eps: Fraction) -> dict:
-    k = k_epsilon(eps)
-    ell = ell_epsilon(eps)
-    a = k + ell
-    try:
-        b = b_eps_bound(n, eps)
-    except NotApplicableError:
-        b = None
-    try:
-        c = c_bound_leading(n)
-        c_val, c_cert = c.value, c.certified
-    except NotApplicableError:
-        c_val = c_cert = None
-    m_val = a + b + c_val if b is not None and c_val is not None else None
-    return {
-        "record": "bound",
-        "n": n,
-        "epsilon": fraction_str(eps),
-        "k": k,
-        "ell": ell,
-        "a_eps_bound": a,
-        "b_eps_bound": b,
-        "c_leading": c_val,
-        "c_certified": c_cert,
-        "m_leading": m_val,
-        "m_certified": False if m_val is not None else None,
-        "notes": [],
-    }
-
-
 def cmd_bounds(args) -> int:
     ns = sorted(set(args.n_grid if args.n_grid else (args.n,)))
     if args.theorem1:
@@ -327,7 +310,7 @@ def cmd_bounds(args) -> int:
         params = {"n": list(ns), "eps": [fraction_str(e) for e in eps_list],
                   "theorem1": False}
         manifest = _manifest("bounds", params, args.timestamps)
-        objs = [_bound_row(n, eps) for n in ns for eps in eps_list]
+        objs = [bound_report_to_obj(bound_report(n, eps)) for n in ns for eps in eps_list]
     _emit(args, objs, manifest)
     return 0
 
@@ -342,12 +325,7 @@ def cmd_report(args) -> int:
         _emit(args, records, manifest)
         return 0
     header, rows = render_csv(records)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(fh, header, rows, manifest)
-    else:
-        write_csv(sys.stdout, header, rows, manifest)
+    _output(args, lambda fh: write_csv(fh, header, rows, manifest))
     return 0
 
 
@@ -411,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="tabulate certified counting bounds")
     ng = p.add_mutually_exclusive_group(required=True)
     ng.add_argument("--n", type=int)
-    ng.add_argument("--n-grid", type=_int_grid_arg, metavar="INTS")
+    ng.add_argument("--n-grid", type=_elements_arg, metavar="INTS")
     eg = p.add_mutually_exclusive_group()
     eg.add_argument("--eps", type=_rational_arg)
     eg.add_argument("--eps-grid", type=_eps_grid_arg, metavar="RATIONALS")
@@ -448,6 +426,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash must not read as exit 1, "a checked object failed"; the
+        # raising line is kept so the one-line report can still be traced
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {exc!r} at {os.path.basename(where.filename)}:{where.lineno}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

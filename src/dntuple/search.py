@@ -20,39 +20,20 @@ from dataclasses import dataclass, field
 
 from .exact import ceil_sqrt, integer_sqrt, is_perfect_square
 from .residues import RootTable, smallest_factor_sieve
-from .tuples import DTuple, InputError, InvalidRangeError, ZeroNError, candidates_in_window, verify
+from .tuples import DTuple, InputError, ZeroNError, verify
 
 # parent-suffix reuse pays off until the suffix outgrows a fresh residue walk
 _SUFFIX_CUTOFF = 24
 
-_sieves: dict[int, list[int]] = {}
-
-
-def _sieve(limit: int) -> list[int]:
-    got = _sieves.get(limit)
-    if got is None:
-        # reuse the largest sieve already built rather than keep duplicates
-        for size, spf in _sieves.items():
-            if size >= limit:
-                return spf
-        got = smallest_factor_sieve(limit)
-        _sieves[limit] = got
-    return got
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters of one bounded search.
-
-    deterministic_order is part of the output contract and stays True in
-    v1; the traversal itself is single threaded and ordered.
-    """
+    """Parameters of one bounded search."""
 
     n: int
     limit: int
     min_report_size: int = 3
     max_results: int | None = None
-    deterministic_order: bool = True
 
     def __post_init__(self):
         if self.n == 0:
@@ -63,8 +44,6 @@ class SearchConfig:
             raise InputError(f"min_report_size must be >= 1, got {self.min_report_size}")
         if self.max_results is not None and self.max_results < 1:
             raise InputError(f"max_results must be >= 1, got {self.max_results}")
-        if not self.deterministic_order:
-            raise InputError("deterministic_order must remain true in v1")
 
 
 @dataclass
@@ -84,27 +63,11 @@ class SearchReport:
     result_cap_exceeded: bool = False
 
 
-def candidates_for(a: int, n: int, lo: int, hi: int) -> list[int]:
-    """All d in [lo, hi] with a*d + n a perfect square, ascending.
-
-    The reference filter: iterate the square root t over
-    [ceil(sqrt(max(0, a*lo + n))), floor(sqrt(a*hi + n))] and keep
-    d = (t*t - n)/a when it divides and lands in range.
-    """
-    if a < 1:
-        raise InputError(f"a must be a positive integer, got {a}")
-    if n == 0:
-        raise ZeroNError("n must be nonzero")
-    if lo > hi:
-        raise InvalidRangeError(f"empty range [{lo}, {hi}]")
-    return candidates_in_window(a, n, lo, hi)
-
-
 class _Engine:
     def __init__(self, n: int, limit: int):
         self.n = n
         self.limit = limit
-        self.table = RootTable(n, _sieve(limit))
+        self.table = RootTable(n, smallest_factor_sieve(limit))
         self.nodes = 0
         self.cands = 0
 

@@ -10,7 +10,6 @@ must not assume 64-bit range.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +29,6 @@ def canonical_json(obj: Any) -> str:
 
 def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -73,17 +68,24 @@ def tuple_to_obj(t: DTuple) -> dict:
     }
 
 
+def tuple_fields(obj: Mapping[str, Any]) -> tuple[Any, tuple]:
+    """The (n, elements) of a dtuple object, or InputError if either is missing.
+
+    Only the shape is checked here; verify() rejects values that are not
+    integers.
+    """
+    if "n" not in obj or not isinstance(obj.get("elements"), list):
+        raise InputError("malformed dtuple object: needs an 'n' and an 'elements' list")
+    return obj["n"], tuple(obj["elements"])
+
+
 def tuple_from_obj(obj: Mapping[str, Any]) -> DTuple:
     """Rebuild a DTuple from its object form, re-verifying from scratch.
 
     Stored witnesses are never trusted; the square checks rerun here, so
     a tampered or corrupted file cannot smuggle in a bad tuple.
     """
-    try:
-        n = obj["n"]
-        elements = tuple(obj["elements"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed dtuple object: {exc}") from exc
+    n, elements = tuple_fields(obj)
     result = verify(elements, n)
     if isinstance(result, VerificationFailure):
         raise InputError(f"stored tuple fails verification: {result}")
@@ -153,6 +155,7 @@ def search_report_objs(report: SearchReport) -> list[dict]:
 
 
 def bound_report_to_obj(rep: BoundReport) -> dict:
+    c, m = rep.c_bound_leading, rep.m_bound_leading
     return {
         "record": "bound",
         "n": rep.n,
@@ -161,10 +164,10 @@ def bound_report_to_obj(rep: BoundReport) -> dict:
         "ell": rep.ell,
         "a_eps_bound": rep.a_eps_bound,
         "b_eps_bound": rep.b_eps_bound,
-        "c_leading": rep.c_bound_leading.value,
-        "c_certified": rep.c_bound_leading.certified,
-        "m_leading": rep.m_bound_leading.value,
-        "m_certified": rep.m_bound_leading.certified,
+        "c_leading": None if c is None else c.value,
+        "c_certified": None if c is None else c.certified,
+        "m_leading": None if m is None else m.value,
+        "m_certified": None if m is None else m.certified,
         "notes": list(rep.notes),
     }
 
@@ -222,7 +225,7 @@ def write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[Any
         cells = [_csv_cell(v) for v in row]
         for cell in cells:
             if "," in cell or '"' in cell or "\n" in cell:
-                raise ValueError(f"cell needs quoting, refusing: {cell!r}")
+                raise InputError(f"cell needs quoting, refusing: {cell!r}")
         stream.write(",".join(cells) + "\n")
 
 
@@ -294,14 +297,12 @@ def render_csv(records: list[dict]) -> tuple[tuple, list[tuple]]:
     if kinds <= {"dtuple", "search_summary"}:
         tuples = tuples_from_records(records)
         return SEARCH_CSV_HEADER, search_csv_rows(tuples)
-    if kinds <= {"gap_audit", "lemma2", "witness"}:
-        return AUDIT_CSV_HEADER, audit_csv_rows(records)
-    if kinds <= {"bound"}:
-        return BOUNDS_CSV_HEADER, bounds_csv_rows(records)
+    try:
+        if kinds <= {"gap_audit", "lemma2", "witness"}:
+            return AUDIT_CSV_HEADER, audit_csv_rows(records)
+        if kinds <= {"bound"}:
+            return BOUNDS_CSV_HEADER, bounds_csv_rows(records)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed record: {exc!r}") from exc
     raise InputError(f"mixed or unknown record kinds, cannot shape a table: {sorted(kinds)}")
 
-
-def dumps_jsonl(objs: Iterable[Mapping[str, Any]], manifest: RunManifest | None = None) -> str:
-    buf = io.StringIO()
-    write_jsonl(buf, objs, manifest)
-    return buf.getvalue()

@@ -112,9 +112,17 @@ class RangeClassification:
 
 
 def _check_inputs(elements, n) -> tuple[int, ...]:
+    # exact type tests: bool is an int subclass, and a float or a string
+    # would pass the comparisons below
+    if type(n) is not int:
+        raise InputError(f"n must be an integer, got {n!r}")
     if n == 0:
         raise ZeroNError("n must be nonzero")
-    els = tuple(sorted(elements))
+    els = tuple(elements)
+    for x in els:
+        if type(x) is not int:
+            raise InputError(f"element {x!r} is not an integer")
+    els = tuple(sorted(els))
     if not els:
         raise EmptyInputError("need at least one element")
     for x in els:
@@ -131,7 +139,8 @@ def verify(elements, n: int) -> DTuple | VerificationFailure:
 
     Returns a witnessed DTuple, or a VerificationFailure naming the first
     offending pair in lexicographic order. Malformed input (empty, has a
-    duplicate, a non-positive element, or n = 0) raises InputError.
+    duplicate, a non-positive or non-integer element, or n = 0 or not an
+    integer) raises InputError.
     """
     els = _check_inputs(elements, n)
     wits = []
@@ -170,9 +179,13 @@ def candidates_in_window(a: int, n: int, lo: int, hi: int) -> list[int]:
     """All d in [lo, hi] with a*d + n a perfect square, ascending.
 
     Walks t over ceil(sqrt(max(0, a*lo+n))) .. floor(sqrt(a*hi+n)) and keeps
-    d = (t*t - n) / a when it divides. Shared by extend() and the search
-    module's public candidates_for().
+    d = (t*t - n) / a when it divides. extend() walks its smallest member
+    through here.
     """
+    if a < 1:
+        raise InputError(f"a must be a positive integer, got {a}")
+    if n == 0:
+        raise ZeroNError("n must be nonzero")
     if lo > hi:
         raise InvalidRangeError(f"empty range [{lo}, {hi}]")
     hi_val = a * hi + n

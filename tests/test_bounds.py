@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dntuple.bounds import (
-    BetaSequence,
     IndexTooSmallError,
     NotApplicableError,
     a_eps_bound,
     b_eps_bound,
     beta,
+    bound_report,
     c_bound_leading,
     ell_epsilon,
     k_epsilon,
@@ -74,12 +74,6 @@ def test_beta_index_gate():
         beta(0)
     with pytest.raises(IndexTooSmallError):
         beta(-3)
-
-
-def test_fresh_sequence_instance():
-    seq = BetaSequence()
-    assert seq[40] == beta(40)
-    assert seq[2] == 1
 
 
 def test_threshold_table():
@@ -187,6 +181,22 @@ def test_c_bound_leading():
         c_bound_leading(2)
     with pytest.raises(ZeroNError):
         c_bound_leading(0)
+
+
+def test_bound_report_leaves_excluded_bounds_empty():
+    one, two, three = (bound_report(n, Fraction(1, 2)) for n in (-1, 2, 3))
+    assert (one.k, one.ell, one.a_eps_bound) == (12, 17, 29)
+    assert one.b_eps_bound is None and one.c_bound_leading is None
+    assert two.b_eps_bound == b_eps_bound(2, Fraction(1, 2))
+    assert two.c_bound_leading is None and two.m_bound_leading is None
+    assert three.c_bound_leading == c_bound_leading(3)
+    assert three.m_bound_leading.value == 29 + three.b_eps_bound + three.c_bound_leading.value
+    assert three.m_bound_leading.certified is False
+    assert three.notes == ()
+    with pytest.raises(ZeroNError):
+        bound_report(0, 1)
+    with pytest.raises(InputError):
+        bound_report(3, 2)
 
 
 def test_m_bound_report_million():

@@ -235,6 +235,91 @@ def test_search_cap_warns_on_stderr(capsys):
     assert recs[-1]["tuples_found"] == 2
 
 
+MALFORMED_DTUPLES = [
+    b'{"record":"dtuple","n":1,"elements":[true,3]}',
+    b'{"record":"dtuple","n":1,"elements":[1.0,3.0]}',
+    b'{"record":"dtuple","n":1,"elements":"13"}',
+    b'{"record":"dtuple","n":1}',
+    b'{"record":"dtuple","n":true,"elements":[1,3]}',
+    b'\xff',
+]
+MALFORMED_ROWS = [
+    b'{"record":"bound","n":2}',
+    b'{"record":"bound","n":2,"epsilon":"x","k":1,"ell":1,"a_eps_bound":2,"b_eps_bound":3}',
+    b'{"record":"lemma2","n":1,"elements":[],"verdict":"pass"}',
+]
+
+
+@pytest.mark.parametrize("command, record", [
+    *[(cmd, rec) for cmd in (["verify", "--from-search"], ["audit", "--from-search"])
+      for rec in MALFORMED_DTUPLES],
+    *[(["report", "--format", "csv", "--in"], rec) for rec in MALFORMED_ROWS],
+])
+def test_malformed_record_exits_two(tmp_path, capsys, command, record):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(record + b"\n")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_from_search_reports_non_square_tuple(tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"record":"dtuple","n":1,"elements":[1,3,7]}\n', encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--from-search", str(path))
+    assert code == 1
+    assert records_of(out)[1]["record"] == "verification_failure"
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    import dntuple.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_bounds", boom)
+    code, out, err = run_cli(capsys, "bounds", "--n", "7", "--eps", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
+    assert err.count("\n") == 1
+
+
+def test_failed_emission_leaves_no_partial_file(tmp_path, capsys):
+    src = tmp_path / "b.jsonl"
+    src.write_text('{"record":"bound","n":2,"epsilon":"1/1","k":"1,2","ell":16,'
+                   '"a_eps_bound":27,"b_eps_bound":3}\n', encoding="utf-8")
+    out = tmp_path / "b.csv"
+    code, _, err = run_cli(capsys, "report", "--in", str(src), "--format", "csv",
+                           "--out", str(out))
+    assert code == 2 and "quoting" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
+    # an earlier artifact at the target survives a failed rerun untouched
+    out.write_text("kept\n", encoding="utf-8")
+    run_cli(capsys, "report", "--in", str(src), "--format", "csv", "--out", str(out))
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "b.jsonl"]
+
+
+def test_out_file_has_plain_open_mode(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.open("w").close()
+    out = tmp_path / "v.jsonl"
+    assert run_cli(capsys, "verify", "--n", "1", "--elements", "1,3",
+                   "--out", str(out))[0] == 0
+    assert out.stat().st_mode == plain.stat().st_mode
+
+
+def test_public_names_resolve_and_are_documented():
+    import dntuple
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for name in dntuple.__all__:
+        assert hasattr(dntuple, name), name
+        assert f"`{name}`" in readme, name
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dntuple.cli", "verify", "--n", "1",

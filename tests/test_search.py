@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from naive_oracle import naive_maximal
 from dntuple.search import (
     SearchConfig,
-    candidates_for,
     empirical_max_size,
     search_maximal,
 )
@@ -27,8 +26,6 @@ def test_config_validation():
         SearchConfig(n=1, limit=10, min_report_size=0)
     with pytest.raises(InputError):
         SearchConfig(n=1, limit=10, max_results=0)
-    with pytest.raises(InputError):
-        SearchConfig(n=1, limit=10, deterministic_order=False)
 
 
 def test_fermat_quadruple_is_found_and_maximal():
@@ -100,26 +97,6 @@ def test_empirical_max_size_helper():
     assert empirical_max_size(1, 200) == 4
     assert empirical_max_size(1, 2) == 1
     assert empirical_max_size(-1, 50) == 3
-
-
-def test_candidates_for_matches_reference():
-    assert candidates_for(2, 2, 1, 100) == [1, 7, 17, 31, 49, 71, 97]
-    with pytest.raises(InputError):
-        candidates_for(0, 2, 1, 10)
-    with pytest.raises(ZeroNError):
-        candidates_for(2, 0, 1, 10)
-    with pytest.raises(InputError):
-        candidates_for(2, 2, 10, 1)
-
-
-@given(st.integers(min_value=1, max_value=30),
-       st.integers(min_value=-20, max_value=20).filter(lambda n: n != 0),
-       st.integers(min_value=1, max_value=200))
-@settings(max_examples=100)
-def test_candidates_for_brute_force(a, n, hi):
-    want = [d for d in range(1, hi + 1)
-            if a * d + n >= 0 and math.isqrt(a * d + n) ** 2 == a * d + n]
-    assert candidates_for(a, n, 1, hi) == want
 
 
 def test_every_reported_tuple_is_verified():

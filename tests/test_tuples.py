@@ -65,6 +65,19 @@ def test_input_errors():
     assert issubclass(ZeroNError, InputError)
 
 
+@pytest.mark.parametrize("elements, n", [
+    ((True, 3), 1),
+    ((1.0, 3.0), 1),
+    ("13", 1),
+    ((1, "3"), 1),
+    ((1, 3), True),
+    ((1, 3), 1.0),
+])
+def test_verify_rejects_non_integers(elements, n):
+    with pytest.raises(InputError):
+        verify(elements, n)
+
+
 def test_witness_for_either_order():
     t = verify((1, 3, 8), 1)
     assert t.witness_for(3, 1).r == 2
@@ -95,6 +108,15 @@ def test_candidates_in_window_frozen_example():
     assert candidates_in_window(2, 2, 1, 100) == [1, 7, 17, 31, 49, 71, 97]
     cands = candidates_in_window(3, 1, 1, 200)
     assert 8 in cands and 120 in cands
+
+
+def test_candidates_in_window_rejects_bad_input():
+    with pytest.raises(InputError):
+        candidates_in_window(0, 2, 1, 10)
+    with pytest.raises(ZeroNError):
+        candidates_in_window(2, 0, 1, 10)
+    with pytest.raises(InvalidRangeError):
+        candidates_in_window(2, 2, 10, 1)
 
 
 @given(st.integers(min_value=1, max_value=40),
