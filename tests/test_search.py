@@ -10,7 +10,7 @@ from dntuple.search import (
     empirical_max_size,
     search_maximal,
 )
-from dntuple.tuples import InputError, ZeroNError
+from dntuple.tuples import InputError, ZeroNError, candidates_in_window
 
 
 def found_elements(report):
@@ -97,6 +97,17 @@ def test_empirical_max_size_helper():
     assert empirical_max_size(1, 200) == 4
     assert empirical_max_size(1, 2) == 1
     assert empirical_max_size(-1, 50) == 3
+
+
+@given(st.integers(min_value=1, max_value=30),
+       st.integers(min_value=-20, max_value=20).filter(lambda n: n != 0),
+       st.integers(min_value=1, max_value=200))
+@settings(max_examples=100)
+def test_candidates_for_brute_force(a, n, hi):
+    # Partners of a in [1, hi], the range the search draws from.
+    want = [d for d in range(1, hi + 1)
+            if a * d + n >= 0 and math.isqrt(a * d + n) ** 2 == a * d + n]
+    assert candidates_in_window(a, n, 1, hi) == want
 
 
 def test_every_reported_tuple_is_verified():
