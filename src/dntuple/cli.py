@@ -90,6 +90,14 @@ def _text(blob: bytes) -> io.StringIO:
         raise InputError(f"input is not UTF-8: {exc}") from exc
 
 
+def _search_records(blob: bytes, path: str) -> list[dict]:
+    # a file with no search record is the wrong file, not an empty search
+    records = read_jsonl(_text(blob))
+    if not any(rec.get("record") in ("dtuple", "search_summary") for rec in records):
+        raise InputError(f"{path} holds no dtuple or search_summary record")
+    return records
+
+
 def _manifest(command: str, parameters: dict[str, Any], timestamps: bool,
               *input_blobs: bytes) -> RunManifest:
     digest = hashlib.sha256()
@@ -149,7 +157,7 @@ def cmd_verify(args) -> int:
             blob = fh.read()
         params = {"from_search": args.from_search}
         manifest = _manifest("verify", params, args.timestamps, blob)
-        records = read_jsonl(_text(blob))
+        records = _search_records(blob, args.from_search)
         objs = []
         bad = 0
         for rec in records:
@@ -235,7 +243,8 @@ def cmd_audit(args) -> int:
     params = {"checks": list(args.checks), "corpus": path,
               "e_scan_bound": args.e_scan_bound}
     manifest = _manifest("audit", params, args.timestamps, blob)
-    tuples = tuples_from_records(read_jsonl(_text(blob)))
+    tuples = tuples_from_records(
+        _search_records(blob, path) if args.from_search else read_jsonl(_text(blob)))
 
     objs: list[dict] = []
     failures = 0

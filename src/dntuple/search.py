@@ -1,29 +1,36 @@
 # Bounded exhaustive search for maximal D(n) tuples inside [1, limit].
 #
-# The traversal is a depth-first enumeration of verified tuples in sorted
-# order: seeds are single elements, children always exceed the current
-# maximum, so every tuple is visited exactly once and reported tuples are
-# emitted in lexicographic order.
-#
-# The hot path never tests square roots one value at a time. Candidates d
-# with a*d + n square satisfy t^2 = n (mod a) for t = sqrt(a*d + n), so the
-# walk steps t through the residue classes of n mod a (residues.RootTable)
-# and every step lands on a candidate. Child sets reuse the parent's
-# candidate list when the remaining suffix is short, and re-walk the new
-# maximum element's residue classes otherwise; both produce the same set,
-# and criterion-grade tests pin the whole engine to a naive oracle.
+# Two stages, the shape of the brute-force oracle (tests/naive_oracle.py).
+# Stage 1 walks every seed a once and stores its upper neighbours
+# {d in (a, limit] : a*d + n square} in a CSR: an int32 array of
+# neighbours and one of per-seed offsets. The walk steps t = sqrt(a*d + n)
+# through the residue classes of n mod a (residues.RootTable), so every
+# step lands on a neighbour. Stage 2 grows cliques depth first, seeds
+# ascending: the children of a node through candidate d are d's stored
+# upper neighbours among the node's candidates. Children exceed the
+# current maximum, so every tuple is visited once, in lexicographic order.
+# candidates_tested counts the walks' outputs and the adjacency entries
+# read in stage 2.
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass, field
 
 from .exact import ceil_sqrt, integer_sqrt, is_perfect_square
 from .residues import RootTable, smallest_factor_sieve
 from .tuples import DTuple, InputError, ZeroNError, verify
 
-# parent-suffix reuse pays off until the suffix outgrows a fresh residue walk
-_SUFFIX_CUTOFF = 24
+# the sieve and the pair graph hold int32 entries per element of [1, limit]
+MAX_LIMIT = 10**7
+
+
+def _check_range(n: int, limit: int) -> None:
+    # before anything is allocated
+    if n == 0:
+        raise ZeroNError("n must be nonzero")
+    if not 1 <= limit <= MAX_LIMIT:
+        raise InputError(f"limit must be in [1, {MAX_LIMIT}], got {limit}")
 
 
 @dataclass(frozen=True)
@@ -36,10 +43,7 @@ class SearchConfig:
     max_results: int | None = None
 
     def __post_init__(self):
-        if self.n == 0:
-            raise ZeroNError("n must be nonzero")
-        if self.limit < 1:
-            raise InputError(f"limit must be >= 1, got {self.limit}")
+        _check_range(self.n, self.limit)
         if self.min_report_size < 1:
             raise InputError(f"min_report_size must be >= 1, got {self.min_report_size}")
         if self.max_results is not None and self.max_results < 1:
@@ -96,12 +100,18 @@ class _Engine:
 
     def run(self, min_report: int, max_results: int | None) -> tuple[list[DTuple], int, bool]:
         n, limit = self.n, self.limit
-        isqrt = math.isqrt  # every use is guarded by v >= 0
+        # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending
+        adj = array("i")
+        start = array("i", [0]) * (limit + 2)
+        for a in range(1, limit + 1):
+            adj.extend(self.walk(a, a + 1, limit))
+            start[a + 1] = len(adj)
+
         results: list[DTuple] = []
         best = 0
         capped = False
         nodes = 0
-        cands = 0  # suffix-filter tests; walk() tallies its own output
+        cands = 0  # adjacency entries read; walk() tallies its own output
 
         def has_left_extension(stack: list[int], members: set[int]) -> bool:
             # anything below the maximum that extends the whole tuple?
@@ -115,30 +125,19 @@ class _Engine:
                     return True
             return False
 
-        def explore(stack: list[int], members: set[int], kids: list[int]) -> None:
+        def explore(stack: list[int], members: set[int], kids: array | list[int]) -> None:
             nonlocal best, capped, nodes, cands
             nodes += 1
             size = len(stack)
             if size > best:
                 best = size
             if kids:
-                pair_level = size == 1
-                x0 = stack[0]
-                rev = stack[::-1]  # larger members reject candidates fastest
-                total = len(kids)
+                pool = set(kids)
                 next_size = size + 1
-                for i, d in enumerate(kids):
-                    if total - i - 1 <= _SUFFIX_CUTOFF:
-                        suffix = kids[i + 1 :]
-                        cands += len(suffix)
-                        grand = [k for k in suffix
-                                 if (v := d * k + n) >= 0 and (r := isqrt(v)) * r == v]
-                    elif pair_level:
-                        grand = [k for k in self.walk(d, d + 1, limit)
-                                 if (v := x0 * k + n) >= 0 and (r := isqrt(v)) * r == v]
-                    else:
-                        grand = [k for k in self.walk(d, d + 1, limit)
-                                 if all(is_perfect_square(x * k + n) for x in rev)]
+                for d in kids:
+                    up = adj[start[d]:start[d + 1]]
+                    cands += len(up)
+                    grand = [k for k in up if k in pool]
                     if not grand and next_size < min_report:
                         # childless and unreportable, no need to descend
                         nodes += 1
@@ -157,8 +156,9 @@ class _Engine:
                 if max_results is not None and len(results) >= max_results:
                     capped = True
 
+        # stage 2: cliques seed by seed
         for a in range(1, limit + 1):
-            explore([a], {a}, self.walk(a, a + 1, limit))
+            explore([a], {a}, adj[start[a]:start[a + 1]])
             if capped:
                 break
 
@@ -175,7 +175,7 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     on element lists and byte-stable across reruns. With max_results set,
     traversal stops after that many reported tuples and the report is
     flagged result_cap_exceeded (a deterministic prefix, never a silent
-    truncation).
+    truncation); the whole pair graph is still built first.
     """
     engine = _Engine(config.n, config.limit)
     results, best, capped = engine.run(config.min_report_size, config.max_results)
@@ -196,10 +196,7 @@ def empirical_max_size(n: int, limit: int) -> int:
     a heuristic, and serves as the desk-scale lower bound for the true
     maximum tuple size.
     """
-    if n == 0:
-        raise ZeroNError("n must be nonzero")
-    if limit < 1:
-        raise InputError(f"limit must be >= 1, got {limit}")
+    _check_range(n, limit)
     engine = _Engine(n, limit)
     _, best, _ = engine.run(limit + 2, None)  # reporting threshold unreachable
     return best

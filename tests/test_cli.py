@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -264,6 +265,30 @@ def test_malformed_record_exits_two(tmp_path, capsys, command, record):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["verify", "--from-search"], ["audit", "--from-search"]])
+def test_from_search_refuses_a_file_without_search_records(tmp_path, capsys, command):
+    bounds = tmp_path / "bounds.jsonl"
+    assert run_cli(capsys, "bounds", "--n", "7", "--eps", "1", "--out", str(bounds))[0] == 0
+    code, out, err = run_cli(capsys, *command, str(bounds))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    # a real search output with no tuple in it is still a search output
+    empty = tmp_path / "empty.jsonl"
+    assert run_cli(capsys, "search", "--n", "-2", "--limit", "100", "--min-size", "4",
+                   "--out", str(empty))[0] == 0
+    assert '"tuples_found":0' in empty.read_text(encoding="utf-8")
+    assert run_cli(capsys, *command, str(empty))[0] == 0
+
+
+def test_search_limit_above_cap_exits_two(capsys):
+    code, out, err = run_cli(capsys, "search", "--n", "1", "--limit", "10000001")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: limit") and err.count("\n") == 1
+
+
 def test_verify_from_search_reports_non_square_tuple(tmp_path, capsys):
     path = tmp_path / "s.jsonl"
     path.write_text('{"record":"dtuple","n":1,"elements":[1,3,7]}\n', encoding="utf-8")
@@ -321,10 +346,14 @@ def test_public_names_resolve_and_are_documented():
 
 
 def test_console_entry_point():
+    # pytest's own pythonpath setting does not reach a child interpreter
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "dntuple.cli", "verify", "--n", "1",
          "--elements", "1,3,8,120"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert '"record":"dtuple"' in proc.stdout
 

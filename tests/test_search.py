@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracle import naive_maximal
+from dntuple import search
 from dntuple.search import (
+    MAX_LIMIT,
     SearchConfig,
     empirical_max_size,
     search_maximal,
@@ -26,6 +28,18 @@ def test_config_validation():
         SearchConfig(n=1, limit=10, min_report_size=0)
     with pytest.raises(InputError):
         SearchConfig(n=1, limit=10, max_results=0)
+
+
+def test_limit_above_cap_is_rejected_before_allocation(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} allocated")
+
+    monkeypatch.setattr(search, "smallest_factor_sieve", no_sieve)
+    SearchConfig(n=1, limit=MAX_LIMIT)
+    with pytest.raises(InputError):
+        SearchConfig(n=1, limit=MAX_LIMIT + 1)
+    with pytest.raises(InputError):
+        empirical_max_size(1, MAX_LIMIT + 1)
 
 
 def test_fermat_quadruple_is_found_and_maximal():
@@ -76,14 +90,39 @@ def test_max_results_cap_is_deterministic_prefix():
     capped = search_maximal(SearchConfig(n=1, limit=120, min_report_size=3,
                                          max_results=5))
     assert capped.result_cap_exceeded
-    assert len(capped.maximal_tuples) == 5
-    full_elems = found_elements(full)
-    # the capped run returns a prefix of the full run's traversal order,
-    # which is not necessarily a prefix of the sorted output
-    assert set(found_elements(capped)) <= set(full_elems)
+    assert found_elements(capped) == found_elements(full)[:5]
     again = search_maximal(SearchConfig(n=1, limit=120, min_report_size=3,
                                         max_results=5))
     assert found_elements(again) == found_elements(capped)
+    # reported tuples are traversal leaves, so the traversal order is the
+    # sorted order and every cap keeps its exact prefix
+    for n, cap in [(1, 1), (4, 3), (-2, 11), (9, 20)]:
+        full = search_maximal(SearchConfig(n=n, limit=150, min_report_size=2))
+        assert len(full.maximal_tuples) > cap
+        capped = search_maximal(SearchConfig(n=n, limit=150, min_report_size=2,
+                                             max_results=cap))
+        assert capped.result_cap_exceeded
+        assert found_elements(capped) == found_elements(full)[:cap]
+
+
+def count_cliques(n, limit):
+    # every nonempty sorted clique of the brute-force pair graph on [1, limit]
+    up = {a: {d for d in range(a + 1, limit + 1)
+              if a * d + n >= 0 and math.isqrt(a * d + n) ** 2 == a * d + n}
+          for a in range(1, limit + 1)}
+
+    def below(cand):
+        return sum(1 + below(cand & up[d]) for d in cand)
+
+    return below(set(up))
+
+
+@pytest.mark.parametrize("n", [n for n in range(-10, 11) if n])
+def test_nodes_visited_counts_every_clique(n):
+    want = count_cliques(n, 300)
+    for min_size in (1, 4):
+        report = search_maximal(SearchConfig(n=n, limit=300, min_report_size=min_size))
+        assert report.nodes_visited == want, (n, min_size)
 
 
 def test_empirical_max_size_tracks_sub_threshold_nodes():
