@@ -4,7 +4,7 @@ The growth argument for tuples with property D(n) splits elements at
 n^2 and |n|^(2+eps). Elements above the upper cut are counted by two
 index thresholds k(eps) and ell(eps) on the recurrence beta_2 = beta_3
 = 1, beta_{i+2} = beta_i + beta_{i+1}; elements in the middle window by
-a sliding-gap count. All threshold decisions run in exact rational
+a sliding-gap count. All threshold decisions run in exact integer
 arithmetic. The only floating point in this module sits behind explicit
 directed-rounding slop (b_eps_bound) or an Estimate carrying
 certified=False (leading-order terms whose absolute constants are not
@@ -13,7 +13,6 @@ pinned down).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,6 +22,11 @@ import mpmath
 from .tuples import InputError, ZeroNError
 
 _GAP = Fraction(489, 100)  # consecutive-element growth factor in the window
+
+# smallest accepted epsilon: k and ell grow like log(1/eps), and the cached
+# beta sequence with them, up to an entry near 260/eps; at 2^-1024 that is
+# about 1 500 entries
+MIN_EPSILON = Fraction(1, 2**1024)
 
 
 class IndexTooSmallError(ValueError):
@@ -50,27 +54,28 @@ def _as_epsilon(value) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"epsilon must be an exact rational, got float {value!r}")
     eps = Fraction(value)
-    if not 0 < eps <= 1:
-        raise InputError(f"epsilon must lie in (0, 1], got {eps}")
+    # no value in the message: str() of a huge numerator or denominator raises
+    if not MIN_EPSILON <= eps <= 1:
+        raise InputError("epsilon must lie in [2^-1024, 1]")
     return eps
+
+
+def _first_index_above(p: int, c: int) -> int:
+    # smallest i >= 2 with beta_i * p > c, for p >= 1
+    i = 2
+    while beta(i) * p <= c:
+        i += 1
+    return i
 
 
 def k_epsilon(epsilon) -> int:
     """Smallest k >= 2 with (beta_k - 11)*(2+eps) > 2*beta_k + 9, exactly."""
-    eps = _as_epsilon(epsilon)
-    for k in itertools.count(2):
-        if (beta(k) - 11) * (2 + eps) > 2 * beta(k) + 9:
-            return k
-    raise AssertionError("unreachable: beta is unbounded")
+    return thresholds(epsilon).k
 
 
 def ell_epsilon(epsilon) -> int:
     """Smallest ell >= 2 with (beta_ell - 131)*(2+eps) > 2*beta_ell - 2, exactly."""
-    eps = _as_epsilon(epsilon)
-    for ell in itertools.count(2):
-        if (beta(ell) - 131) * (2 + eps) > 2 * beta(ell) - 2:
-            return ell
-    raise AssertionError("unreachable: beta is unbounded")
+    return thresholds(epsilon).ell
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,18 @@ class EpsilonThresholds:
 
 
 def thresholds(epsilon) -> EpsilonThresholds:
+    """k(eps) and ell(eps) by integer scans.
+
+    With eps = p/q, (beta - 11)*(2+eps) > 2*beta + 9 iff beta*p > 31q + 11p,
+    and (beta - 131)*(2+eps) > 2*beta - 2 iff beta*p > 260q + 131p.
+    """
     eps = _as_epsilon(epsilon)
-    return EpsilonThresholds(epsilon=eps, k=k_epsilon(eps), ell=ell_epsilon(eps))
+    p, q = eps.numerator, eps.denominator
+    return EpsilonThresholds(
+        epsilon=eps,
+        k=_first_index_above(p, 31 * q + 11 * p),
+        ell=_first_index_above(p, 260 * q + 131 * p),
+    )
 
 
 def a_eps_bound(epsilon) -> int:
@@ -92,8 +107,8 @@ def a_eps_bound(epsilon) -> int:
     k+ell, so k+ell-1 would also serve; the looser published form is
     kept as stated.
     """
-    eps = _as_epsilon(epsilon)
-    return k_epsilon(eps) + ell_epsilon(eps)
+    th = thresholds(epsilon)
+    return th.k + th.ell
 
 
 def b_eps_bound(n: int, epsilon) -> int:

@@ -30,7 +30,7 @@ from .audits import (
     audit_lemma2,
     find_witness_e,
 )
-from .bounds import NotApplicableError, bound_report, m_bound_report
+from .bounds import NotApplicableError, bound_report, m_bound_report, thresholds
 from .search import SearchConfig, search_maximal
 from .serialize import (
     ARTIFACT_VERSION,
@@ -315,7 +315,10 @@ def cmd_bounds(args) -> int:
     else:
         if args.eps is None and args.eps_grid is None:
             raise InputError("bounds needs --eps or --eps-grid (or --theorem1)")
-        eps_list = sorted(set(args.eps_grid if args.eps_grid else (args.eps,)))
+        # thresholds() refuses an epsilon outside [2^-1024, 1] before the
+        # parameters are serialized; str() of a huge fraction would raise
+        eps_list = sorted({thresholds(e).epsilon
+                           for e in (args.eps_grid if args.eps_grid else (args.eps,))})
         params = {"n": list(ns), "eps": [fraction_str(e) for e in eps_list],
                   "theorem1": False}
         manifest = _manifest("bounds", params, args.timestamps)

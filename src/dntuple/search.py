@@ -9,8 +9,10 @@
 # ascending: the children of a node through candidate d are d's stored
 # upper neighbours among the node's candidates. Children exceed the
 # current maximum, so every tuple is visited once, in lexicographic order.
-# candidates_tested counts the walks' outputs and the adjacency entries
-# read in stage 2.
+# A leaf has no common upper neighbour, so it is maximal iff no lower
+# neighbour of its top member is adjacent to all other members; one walk
+# of top's residue classes below top finds those. candidates_tested counts
+# the walks' outputs and the adjacency entries read in stage 2.
 
 from __future__ import annotations
 
@@ -114,14 +116,13 @@ class _Engine:
         cands = 0  # adjacency entries read; walk() tallies its own output
 
         def has_left_extension(stack: list[int], members: set[int]) -> bool:
-            # anything below the maximum that extends the whole tuple?
+            # only lower neighbours of top can extend a leaf (see above)
             top = stack[-1]
-            if top == 1:
-                return False
-            for d in self.walk(stack[0], 1, top - 1):
+            rest = stack[-2::-1]
+            for d in self.walk(top, 1, top - 1):
                 if d in members:
                     continue
-                if all(is_perfect_square(x * d + n) for x in stack[:0:-1]):
+                if all(is_perfect_square(x * d + n) for x in rest):
                     return True
             return False
 

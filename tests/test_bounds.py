@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dntuple import bounds
 from dntuple.bounds import (
+    MIN_EPSILON,
     IndexTooSmallError,
     NotApplicableError,
     a_eps_bound,
@@ -16,6 +18,7 @@ from dntuple.bounds import (
     k_epsilon,
     m_bound_report,
     thresholds,
+    _prescribed_epsilon_bracket,
 )
 from dntuple.tuples import InputError, ZeroNError
 
@@ -33,12 +36,12 @@ def fib_doubling(m: int) -> int:
     return pair(m)[0]
 
 
-def scan_k(eps: Fraction) -> int:
-    # brute force over i <= 64, written against the inequality directly
-    for i in range(2, 65):
+def scan_k(eps: Fraction, top: int = 64) -> int:
+    # brute force over i <= top, written against the inequality directly
+    for i in range(2, top + 1):
         if (beta(i) - 11) * (2 + eps) > 2 * beta(i) + 9:
             return i
-    raise AssertionError("not found below 65")
+    raise AssertionError(f"not found below {top + 1}")
 
 
 def scan_ell(eps: Fraction) -> int:
@@ -116,6 +119,42 @@ def test_threshold_monotonicity(e1, e2):
         e1, e2 = e2, e1
     assert k_epsilon(e1) >= k_epsilon(e2)
     assert ell_epsilon(e1) >= ell_epsilon(e2)
+
+
+def test_thresholds_match_scan_oracle_at_equality():
+    # at eps = 31/(beta_i - 11) the k inequality holds with equality at i,
+    # so a wrong strictness shows up exactly here; likewise for ell. Indices
+    # stop at 58 so that both thresholds stay within the oracle's reach
+    k_cases = [Fraction(31, beta(i) - 11) for i in range(2, 59) if beta(i) - 11 >= 31]
+    ell_cases = [Fraction(260, beta(i) - 131) for i in range(2, 59) if beta(i) - 131 >= 260]
+    assert len(k_cases) > 40 and len(ell_cases) > 40
+    for eps in k_cases + ell_cases:
+        assert k_epsilon(eps) == scan_k(eps), eps
+        assert ell_epsilon(eps) == scan_ell(eps), eps
+
+
+def test_thresholds_match_scan_oracle_on_prescribed_brackets():
+    ms = [16, 17, 100, 1000, 12345, 2**64 + 13] + [10**j for j in range(2, 300, 11)]
+    for m in ms:
+        for eps in _prescribed_epsilon_bracket(m):
+            assert (eps * 2**64).denominator == 1
+            assert k_epsilon(eps) == scan_k(eps), (m, eps)
+            assert ell_epsilon(eps) == scan_ell(eps), (m, eps)
+
+
+def test_epsilon_below_cap_is_refused_before_beta_grows():
+    assert MIN_EPSILON == Fraction(1, 2**1024)
+    cached = len(bounds._BETA)
+    for tiny in (Fraction(1, 2**1025), MIN_EPSILON - Fraction(1, 2**2000),
+                 Fraction("1e-400"), Fraction(1, 10**100000)):
+        for fn in (k_epsilon, ell_epsilon, thresholds, a_eps_bound):
+            with pytest.raises(InputError):
+                fn(tiny)
+        with pytest.raises(InputError):
+            bound_report(5, tiny)
+    assert len(bounds._BETA) == cached
+    # the cap itself is accepted
+    assert k_epsilon(MIN_EPSILON) == scan_k(MIN_EPSILON, top=2000)
 
 
 def test_log_growth_over_halvings():

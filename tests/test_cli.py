@@ -289,6 +289,15 @@ def test_search_limit_above_cap_exits_two(capsys):
     assert err.startswith("error: limit") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps", ["1e-400", "1e-100000", "1e5000", "0"])
+def test_bounds_epsilon_outside_range_exits_two(capsys, eps):
+    for flag in ("--eps", "--eps-grid"):
+        code, out, err = run_cli(capsys, "bounds", "--n", "5", flag, eps)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: epsilon") and err.count("\n") == 1
+
+
 def test_verify_from_search_reports_non_square_tuple(tmp_path, capsys):
     path = tmp_path / "s.jsonl"
     path.write_text('{"record":"dtuple","n":1,"elements":[1,3,7]}\n', encoding="utf-8")

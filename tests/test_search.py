@@ -72,6 +72,15 @@ def test_equals_oracle_property(n, limit, min_size):
     assert found_elements(report) == naive_maximal(n, limit, min_size)
 
 
+@pytest.mark.parametrize("n", [n for n in range(-10, 11) if n])
+def test_maximality_matches_oracle_for_every_small_n(n):
+    # every n class, perfect squares and n = +-1 included, against the
+    # oracle's independent "nothing in [1, limit] extends it" rule
+    for min_size in (2, 3, 4):
+        report = search_maximal(SearchConfig(n=n, limit=200, min_report_size=min_size))
+        assert found_elements(report) == naive_maximal(n, 200, min_size), (n, min_size)
+
+
 def test_reported_tuples_admit_no_extension():
     def sq(x):
         return x >= 0 and math.isqrt(x) ** 2 == x
