@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import pow_le, square_root_if_square
+from .exact import pow_compare, square_root_if_square
 from .tuples import DTuple, InputError
 
 # gap thresholds, kept rational so no verdict touches a float
@@ -225,7 +225,7 @@ def lemma2_verdict(b: int, c: int, d: int, n: int) -> Lemma2Verdict:
     """
     if c <= (b * abs(n)) ** 11:
         return Lemma2Verdict.NOT_APPLICABLE
-    return Lemma2Verdict.PASS if pow_le(d, c, 131) else Lemma2Verdict.FAIL
+    return Lemma2Verdict.PASS if pow_compare(d, 1, c, 131) <= 0 else Lemma2Verdict.FAIL
 
 
 def audit_lemma2(quad: DTuple) -> Lemma2Verdict:

@@ -21,7 +21,8 @@ import mpmath
 
 from .tuples import InputError, ZeroNError
 
-_GAP = Fraction(489, 100)  # consecutive-element growth factor in the window
+with mpmath.workprec(128):  # log of the window's growth factor 4.89
+    _LOG_GAP = mpmath.log(mpmath.mpf(489) / 100)
 
 # smallest accepted epsilon: k and ell grow like log(1/eps), and the cached
 # beta sequence with them, up to an entry near 260/eps; at 2^-1024 that is
@@ -127,7 +128,7 @@ def b_eps_bound(n: int, epsilon) -> int:
         raise NotApplicableError("window count bound needs |n| >= 2")
     with mpmath.workprec(128):
         q = mpmath.mpf(eps.numerator) / eps.denominator
-        q *= mpmath.log(abs(n)) / mpmath.log(mpmath.mpf(_GAP.numerator) / _GAP.denominator)
+        q *= mpmath.log(abs(n)) / _LOG_GAP
         q += mpmath.ldexp(q, -96) + mpmath.ldexp(mpmath.mpf(1), -96)
         return int(mpmath.floor(q)) + 3
 

@@ -32,14 +32,6 @@ def square_root_if_square(x: int) -> int | None:
     return r if r * r == x else None
 
 
-def is_perfect_square(x: int) -> bool:
-    """True iff x is the square of an integer (hence x >= 0)."""
-    if x < 0:
-        return False
-    r = math.isqrt(x)
-    return r * r == x
-
-
 def ceil_sqrt(x: int) -> int:
     """Smallest r >= 0 with r*r >= x, for x >= 0."""
     if x < 0:
@@ -48,32 +40,14 @@ def ceil_sqrt(x: int) -> int:
     return r if r * r == x else r + 1
 
 
-def pow_le(lhs: int, base: int, exponent: int) -> bool:
-    """Decide lhs <= base**exponent exactly, lhs >= 0, base >= 1, exponent >= 1.
-
-    Bit-length bounds settle the far-apart cases without materializing the
-    power; only genuinely close comparisons compute base**exponent.
-    """
-    if lhs < 0 or base < 1 or exponent < 1:
-        raise ValueError("pow_le wants lhs >= 0, base >= 1, exponent >= 1")
-    if base == 1:
-        return lhs <= 1
-    bl = base.bit_length()
-    # 2**(bl-1) <= base < 2**bl
-    if lhs.bit_length() <= (bl - 1) * exponent:
-        return True
-    if lhs.bit_length() > bl * exponent:
-        return False
-    return lhs <= base ** exponent
-
-
 def pow_compare(lhs_base: int, lhs_exp: int, rhs_base: int, rhs_exp: int) -> int:
     """Sign of lhs_base**lhs_exp - rhs_base**rhs_exp, all arguments >= 1.
 
-    Used for range boundaries of the form x**q vs |n|**(2q+p). Bit-length
-    bounds first; the exact powers are only built when the two sides are
-    within a factor-of-two band of each other, and a size guard refuses
-    comparisons whose exact form would not fit in memory.
+    Used for range boundaries of the form x**q vs |n|**(2q+p) and for the
+    lemma 2 conclusion d <= c**131. Bit-length bounds first; the exact
+    powers are only built when the two sides are within a factor-of-two
+    band of each other, and a size guard refuses comparisons whose exact
+    form would not fit in memory.
     """
     for v in (lhs_base, lhs_exp, rhs_base, rhs_exp):
         if v < 1:

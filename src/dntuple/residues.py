@@ -1,10 +1,9 @@
-# Square roots of n modulo small integers, used by the search engine to
-# enumerate candidate partners in arithmetic progressions instead of
-# testing every square root value one by one.
+# Square roots of n modulo small integers. The search engine walks the
+# classes t = r (mod a) with r*r = n (mod a) to find the partners of each
+# seed a, instead of testing every square root value one by one.
 #
-# Internal module. Observable search results never depend on it being
-# used: the t-by-t filter and this enumeration agree on every input
-# (property-tested against brute force and against sympy's sqrt_mod).
+# Internal module, property-tested against brute force and against
+# sympy's sqrt_mod.
 
 from __future__ import annotations
 
@@ -30,19 +29,6 @@ def smallest_factor_sieve(limit: int) -> array:
         width = len(range(p * p, limit + 1, p))
         spf[p * p :: p] = array("i", [p]) * width
     return spf
-
-
-def factorize(a: int, spf: Sequence[int]) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] of 1 <= a <= len(spf)-1, p ascending."""
-    out = []
-    while a > 1:
-        p = spf[a] or a
-        e = 0
-        while a % p == 0:
-            a //= p
-            e += 1
-        out.append((p, e))
-    return out
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
@@ -77,74 +63,28 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
-def _unit_roots_odd(n: int, p: int, e: int) -> tuple[int, ...]:
-    # roots of x^2 = n mod p^e, p odd prime, p not dividing n
-    r = _sqrt_mod_prime(n, p)
-    if r is None:
-        return ()
-    pk = p
-    for _ in range(e - 1):
-        pk_next = pk * p
-        # Newton step: r <- r - (r^2 - n) / (2r), exact mod pk_next
-        r = (r - (r * r - n) * pow(2 * r, -1, pk_next)) % pk_next
-        pk = pk_next
-    s = p ** e - r
-    return (r, s) if r < s else (s, r)
-
-
-def _unit_roots_two(n: int, e: int) -> tuple[int, ...]:
-    # roots of x^2 = n mod 2^e, n odd
-    if e == 1:
-        return (1,)
-    if e == 2:
-        return (1, 3) if n % 4 == 1 else ()
-    if n % 8 != 1:
-        return ()
-    roots = [1, 3, 5, 7]  # everything odd squares to 1 mod 8
-    mod = 8
-    for _ in range(e - 3):
-        mod2 = mod * 2
-        lift = []
-        for r in roots:
-            for cand in (r, r + mod):  # the two lifts of r mod 2^k to mod 2^(k+1)
-                if (cand * cand - n) % mod2 == 0:
-                    lift.append(cand)
-        roots = sorted(lift)
-        mod = mod2
-    return tuple(roots)
-
-
 def sqrt_mod_prime_power(n: int, p: int, e: int) -> tuple[int, ...]:
     """All x in [0, p^e) with x^2 = n (mod p^e), sorted. p prime, e >= 1.
 
-    Handles p | n by stripping the even part of the p-valuation: with
-    n = p^f * m and p not dividing m, solutions exist only for f even
-    (or n = 0 mod p^e), and are p^(f/2) * (u + j * p^(e-f)) over unit
-    roots u mod p^(e-f).
+    Roots mod p are 0 when p | n, n % 2 when p = 2, else the Tonelli-Shanks
+    pair. Every root mod p^(k+1) reduces to a root mod p^k, so lifting each
+    root r mod p^k to r + j*p^k (0 <= j < p) and keeping the lifts that
+    square to n mod p^(k+1) finds them all.
     """
-    pe = p ** e
-    c = n % pe
-    if c == 0:
-        step = p ** ((e + 1) // 2)
-        return tuple(range(0, pe, step))
-    f, m = 0, c
-    while m % p == 0:
-        m //= p
-        f += 1
-    if f % 2:
-        return ()
-    e2 = e - f
-    base = _unit_roots_two(m, e2) if p == 2 else _unit_roots_odd(m, p, e2)
-    if not base:
-        return ()
-    half = p ** (f // 2)
-    pe2 = p ** e2
-    out = []
-    for u in base:
-        for j in range(half):
-            out.append(half * (u + pe2 * j))
-    out.sort()
-    return tuple(out)
+    if n % p == 0 or p == 2:
+        roots = [n % p]
+    else:
+        r = _sqrt_mod_prime(n, p)
+        if r is None:
+            return ()
+        roots = [r, p - r]
+    pk = p
+    for _ in range(e - 1):
+        pk_next = pk * p
+        roots = [x for r in roots for x in range(r, pk_next, pk)
+                 if (x * x - n) % pk_next == 0]
+        pk = pk_next
+    return tuple(sorted(roots))
 
 
 class RootTable:

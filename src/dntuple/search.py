@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from .exact import ceil_sqrt, integer_sqrt, is_perfect_square
+from .exact import ceil_sqrt, integer_sqrt, square_root_if_square
 from .residues import RootTable, smallest_factor_sieve
 from .tuples import DTuple, InputError, ZeroNError, verify
 
@@ -122,7 +122,7 @@ class _Engine:
             for d in self.walk(top, 1, top - 1):
                 if d in members:
                     continue
-                if all(is_perfect_square(x * d + n) for x in rest):
+                if all(square_root_if_square(x * d + n) is not None for x in rest):
                     return True
             return False
 

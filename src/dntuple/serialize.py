@@ -188,7 +188,7 @@ def read_jsonl(stream: TextIO) -> list[dict]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past 4 300 digits
             raise InputError(f"line {line_no}: not a JSON record: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"line {line_no}: expected an object record")

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ceil_sqrt, integer_sqrt, is_perfect_square, pow_compare, square_root_if_square
+from .exact import ceil_sqrt, integer_sqrt, pow_compare, square_root_if_square
 
 
 class InputError(ValueError):
@@ -170,7 +170,7 @@ def extend(t: DTuple, lo: int, hi: int) -> list[int]:
     for d in candidates_in_window(base, n, lo, hi):
         if d in members:
             continue
-        if all(is_perfect_square(x * d + n) for x in rest):
+        if all(square_root_if_square(x * d + n) is not None for x in rest):
             out.append(d)
     return out
 

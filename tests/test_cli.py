@@ -244,6 +244,8 @@ MALFORMED_DTUPLES = [
     b'{"record":"dtuple","n":true,"elements":[1,3]}',
     b'\xff',
 ]
+# past Python's 4 300-digit int/str conversion limit, which json.loads hits
+LONG_INT_DTUPLE = b'{"record":"dtuple","n":1,"elements":[1,' + b"9" * 5000 + b"]}"
 MALFORMED_ROWS = [
     b'{"record":"bound","n":2}',
     b'{"record":"bound","n":2,"epsilon":"x","k":1,"ell":1,"a_eps_bound":2,"b_eps_bound":3}',
@@ -255,6 +257,9 @@ MALFORMED_ROWS = [
     *[(cmd, rec) for cmd in (["verify", "--from-search"], ["audit", "--from-search"])
       for rec in MALFORMED_DTUPLES],
     *[(["report", "--format", "csv", "--in"], rec) for rec in MALFORMED_ROWS],
+    *[pytest.param(cmd, LONG_INT_DTUPLE, id=f"{cmd[0]}-5000-digit-element")
+      for cmd in (["verify", "--from-search"], ["audit", "--from-search"],
+                  ["report", "--format", "csv", "--in"])],
 ])
 def test_malformed_record_exits_two(tmp_path, capsys, command, record):
     path = tmp_path / "bad.jsonl"

@@ -6,7 +6,6 @@ from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from dntuple.residues import (
     RootTable,
-    factorize,
     smallest_factor_sieve,
     sqrt_mod_prime_power,
 )
@@ -27,13 +26,6 @@ def test_sieve_marks_composites_with_smallest_factor():
         assert all(k % q for q in range(2, p))  # nothing smaller divides
 
 
-def test_factorize_small():
-    assert factorize(1, SPF_2K) == []
-    assert factorize(12, SPF_2K) == [(2, 2), (3, 1)]
-    assert factorize(997, SPF_2K) == [(997, 1)]
-    assert factorize(1024, SPF_2K) == [(2, 10)]
-
-
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 3),
                                  (5, 2), (7, 1), (11, 2), (13, 1), (41, 1)])
 @pytest.mark.parametrize("n", [-9, -4, -1, 0, 1, 2, 3, 4, 8, 9, 12, 18, 25, 49, 50])
@@ -51,6 +43,14 @@ def test_prime_power_roots_exhaustive_small_moduli():
         m = p ** e
         for n in list(range(min(m, 30))) + [rng.randrange(-3 * m, 3 * m) for _ in range(6)]:
             assert sqrt_mod_prime_power(n, p, e) == brute_roots(n, m), (n, p, e)
+
+
+@pytest.mark.parametrize("n", [2**12 * 3**6, -(2**11) * 5**4, 3 * 7**6])
+def test_composite_roots_at_high_valuations_match_brute_force(n):
+    # p | n to a high power is where a wrong lift of the root 0 would hide
+    table = RootTable(n, SPF_2K)
+    for a in range(1, 2001):
+        assert table.roots(a) == brute_roots(n, a), a
 
 
 @given(a=st.integers(min_value=1, max_value=2000),
