@@ -90,11 +90,14 @@ def _text(blob: bytes) -> io.StringIO:
         raise InputError(f"input is not UTF-8: {exc}") from exc
 
 
-def _search_records(blob: bytes, path: str) -> list[dict]:
-    # a file with no search record is the wrong file, not an empty search
+_SEARCH_KINDS = ("dtuple", "search_summary")
+
+
+def _records(blob: bytes, path: str, kinds: tuple[str, ...]) -> list[dict]:
+    # a file with none of these records is the wrong file, not an empty one
     records = read_jsonl(_text(blob))
-    if not any(rec.get("record") in ("dtuple", "search_summary") for rec in records):
-        raise InputError(f"{path} holds no dtuple or search_summary record")
+    if not any(rec.get("record") in kinds for rec in records):
+        raise InputError(f"{path} holds no {' or '.join(kinds)} record")
     return records
 
 
@@ -151,13 +154,23 @@ def _failure_obj(fail: VerificationFailure) -> dict:
     }
 
 
+def _emit_for_tuple(args, manifest: RunManifest, records) -> int:
+    """Verify --elements under --n and emit records(tuple), or the failure and return 1."""
+    result = verify(args.elements, args.n)
+    if isinstance(result, VerificationFailure):
+        _emit(args, [_failure_obj(result)], manifest)
+        return 1
+    _emit(args, records(result), manifest)
+    return 0
+
+
 def cmd_verify(args) -> int:
     if args.from_search:
         with open(args.from_search, "rb") as fh:
             blob = fh.read()
         params = {"from_search": args.from_search}
         manifest = _manifest("verify", params, args.timestamps, blob)
-        records = _search_records(blob, args.from_search)
+        records = _records(blob, args.from_search, _SEARCH_KINDS)
         objs = []
         bad = 0
         for rec in records:
@@ -177,32 +190,15 @@ def cmd_verify(args) -> int:
         raise InputError("verify needs --n and --elements (or --from-search)")
     params = {"n": args.n, "elements": list(args.elements)}
     manifest = _manifest("verify", params, args.timestamps)
-    result = verify(args.elements, args.n)
-    if isinstance(result, VerificationFailure):
-        _emit(args, [_failure_obj(result)], manifest)
-        return 1
-    _emit(args, [tuple_to_obj(result)], manifest)
-    return 0
+    return _emit_for_tuple(args, manifest, lambda t: [tuple_to_obj(t)])
 
 
 def cmd_extend(args) -> int:
     params = {"n": args.n, "elements": list(args.elements), "lo": args.lo, "hi": args.hi}
     manifest = _manifest("extend", params, args.timestamps)
-    result = verify(args.elements, args.n)
-    if isinstance(result, VerificationFailure):
-        _emit(args, [_failure_obj(result)], manifest)
-        return 1
-    found = extend(result, args.lo, args.hi)
-    obj = {
-        "record": "extension",
-        "n": args.n,
-        "elements": list(result.elements),
-        "lo": args.lo,
-        "hi": args.hi,
-        "extensions": list(found),
-    }
-    _emit(args, [obj], manifest)
-    return 0
+    return _emit_for_tuple(args, manifest, lambda t: [{
+        "record": "extension", "n": args.n, "elements": list(t.elements),
+        "lo": args.lo, "hi": args.hi, "extensions": extend(t, args.lo, args.hi)}])
 
 
 def cmd_search(args) -> int:
@@ -223,17 +219,12 @@ def cmd_witness(args) -> int:
     params = {"n": args.n, "elements": list(args.elements),
               "e_scan_bound": args.e_scan_bound}
     manifest = _manifest("witness", params, args.timestamps)
-    result = verify(args.elements, args.n)
-    if isinstance(result, VerificationFailure):
-        _emit(args, [_failure_obj(result)], manifest)
-        return 1
     try:
-        w = find_witness_e(result, args.e_scan_bound)
+        return _emit_for_tuple(args, manifest, lambda t: [
+            witness_to_obj(t, find_witness_e(t, args.e_scan_bound))])
     except WitnessNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    _emit(args, [witness_to_obj(result, w)], manifest)
-    return 0
 
 
 def cmd_audit(args) -> int:
@@ -243,8 +234,9 @@ def cmd_audit(args) -> int:
     params = {"checks": list(args.checks), "corpus": path,
               "e_scan_bound": args.e_scan_bound}
     manifest = _manifest("audit", params, args.timestamps, blob)
+    # a seed corpus must hold a tuple; a search may have found none
     tuples = tuples_from_records(
-        _search_records(blob, path) if args.from_search else read_jsonl(_text(blob)))
+        _records(blob, path, _SEARCH_KINDS if args.from_search else ("dtuple",)))
 
     objs: list[dict] = []
     failures = 0
@@ -349,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.add_argument("--out", metavar="PATH")
         p.add_argument("--timestamps", action="store_true",
                        help="stamp the manifest with wall-clock times "
                             "(breaks byte-for-byte rerun identity)")
@@ -357,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--elements", type=_elements_arg)
     p.add_argument("--from-search", metavar="PATH")
-    p.add_argument("--out", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -366,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", type=_elements_arg, required=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--out", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_extend)
 
@@ -375,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--min-size", type=int, default=3)
     p.add_argument("--max-results", type=int, default=None)
-    p.add_argument("--out", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_search)
 
@@ -386,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--seed-corpus", metavar="PATH")
     src.add_argument("--from-search", metavar="PATH")
     p.add_argument("--e-scan-bound", type=int, default=None)
-    p.add_argument("--out", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_audit)
 
@@ -394,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--elements", type=_elements_arg, required=True)
     p.add_argument("--e-scan-bound", type=int, default=None)
-    p.add_argument("--out", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_witness)
 
@@ -407,14 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     eg.add_argument("--eps-grid", type=_eps_grid_arg, metavar="RATIONALS")
     p.add_argument("--theorem1", action="store_true",
                    help="use the prescribed epsilon loglog|n|/log|n| per n")
-    p.add_argument("--out", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("report", help="re-emit a result file as CSV or JSON lines")
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p.add_argument("--format", choices=["csv", "json-lines"], required=True)
-    p.add_argument("--out", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_report)
 

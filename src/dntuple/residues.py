@@ -1,6 +1,8 @@
-# Square roots of n modulo small integers. The search engine walks the
-# classes t = r (mod a) with r*r = n (mod a) to find the partners of each
-# seed a, instead of testing every square root value one by one.
+# Square roots of n modulo small integers, and the walk that lists the
+# partners {d : a*d + n square} of an element a by stepping t = sqrt(a*d + n)
+# through the classes t = r (mod a) with r*r = n (mod a), instead of
+# testing every square root value one by one. The search and extend() both
+# list partners through walk().
 #
 # Internal module, property-tested against brute force and against
 # sympy's sqrt_mod.
@@ -8,8 +10,10 @@
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from math import isqrt
+
+from .exact import ceil_sqrt
 
 
 def smallest_factor_sieve(limit: int) -> array:
@@ -137,3 +141,26 @@ class RootTable:
         if isinstance(combined, tuple):
             return combined  # single prime power, already sorted
         return tuple(sorted(combined))
+
+
+def walk(a: int, n: int, roots: Iterable[int], lo: int, hi: int) -> list[int]:
+    """All d in [lo, hi] with a*d + n a perfect square, ascending.
+
+    roots are the residues r in [0, a) with r*r = n (mod a), such as
+    RootTable.roots(a); t = sqrt(a*d + n) steps through each class t = r
+    (mod a), so every step lands on a partner.
+    """
+    hi_val = a * hi + n
+    if hi_val < 0:
+        return []
+    t_lo = ceil_sqrt(max(0, a * lo + n))
+    t_hi = isqrt(hi_val)
+    out = []
+    append = out.append
+    for r in roots:
+        t = t_lo + (r - t_lo) % a
+        while t <= t_hi:
+            append((t * t - n) // a)
+            t += a
+    out.sort()
+    return out

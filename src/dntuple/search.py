@@ -3,36 +3,29 @@
 # Two stages, the shape of the brute-force oracle (tests/naive_oracle.py).
 # Stage 1 walks every seed a once and stores its upper neighbours
 # {d in (a, limit] : a*d + n square} in a CSR: an int32 array of
-# neighbours and one of per-seed offsets. The walk steps t = sqrt(a*d + n)
-# through the residue classes of n mod a (residues.RootTable), so every
+# neighbours and one of per-seed offsets. residues.walk steps
+# t = sqrt(a*d + n) through the classes of RootTable.roots(a), so every
 # step lands on a neighbour. Stage 2 grows cliques depth first, seeds
 # ascending: the children of a node through candidate d are d's stored
 # upper neighbours among the node's candidates. Children exceed the
 # current maximum, so every tuple is visited once, in lexicographic order.
 # A leaf has no common upper neighbour, so it is maximal iff no lower
-# neighbour of its top member is adjacent to all other members; one walk
-# of top's residue classes below top finds those. candidates_tested counts
-# the walks' outputs and the adjacency entries read in stage 2.
+# neighbour of its top member is adjacent to all other members: one walk
+# of top's classes below top lists the lower neighbours, and
+# tuples.extenders, the filter extend() uses, looks for one adjacent to
+# the rest. candidates_tested counts the walks' outputs and the adjacency
+# entries read in stage 2.
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
 
-from .exact import ceil_sqrt, integer_sqrt, square_root_if_square
-from .residues import RootTable, smallest_factor_sieve
-from .tuples import DTuple, InputError, ZeroNError, verify
+from .residues import RootTable, smallest_factor_sieve, walk
+from .tuples import DTuple, InputError, ZeroNError, extenders, verify
 
 # the sieve and the pair graph hold int32 entries per element of [1, limit]
 MAX_LIMIT = 10**7
-
-
-def _check_range(n: int, limit: int) -> None:
-    # before anything is allocated
-    if n == 0:
-        raise ZeroNError("n must be nonzero")
-    if not 1 <= limit <= MAX_LIMIT:
-        raise InputError(f"limit must be in [1, {MAX_LIMIT}], got {limit}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,11 @@ class SearchConfig:
     max_results: int | None = None
 
     def __post_init__(self):
-        _check_range(self.n, self.limit)
+        # before anything is allocated
+        if self.n == 0:
+            raise ZeroNError("n must be nonzero")
+        if not 1 <= self.limit <= MAX_LIMIT:
+            raise InputError(f"limit must be in [1, {MAX_LIMIT}], got {self.limit}")
         if self.min_report_size < 1:
             raise InputError(f"min_report_size must be >= 1, got {self.min_report_size}")
         if self.max_results is not None and self.max_results < 1:
@@ -69,105 +66,6 @@ class SearchReport:
     result_cap_exceeded: bool = False
 
 
-class _Engine:
-    def __init__(self, n: int, limit: int):
-        self.n = n
-        self.limit = limit
-        self.table = RootTable(n, smallest_factor_sieve(limit))
-        self.nodes = 0
-        self.cands = 0
-
-    def walk(self, a: int, lo: int, hi: int) -> list[int]:
-        # residue-class enumeration of {d in [lo, hi] : a*d + n is square}
-        n = self.n
-        if lo > hi:
-            return []
-        hi_val = a * hi + n
-        if hi_val < 0:
-            return []
-        t_lo = ceil_sqrt(max(0, a * lo + n))
-        t_hi = integer_sqrt(hi_val)
-        if t_lo > t_hi:
-            return []
-        out = []
-        append = out.append
-        for r in self.table.roots(a):
-            t = t_lo + (r - t_lo) % a
-            while t <= t_hi:
-                append((t * t - n) // a)
-                t += a
-        out.sort()
-        self.cands += len(out)
-        return out
-
-    def run(self, min_report: int, max_results: int | None) -> tuple[list[DTuple], int, bool]:
-        n, limit = self.n, self.limit
-        # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending
-        adj = array("i")
-        start = array("i", [0]) * (limit + 2)
-        for a in range(1, limit + 1):
-            adj.extend(self.walk(a, a + 1, limit))
-            start[a + 1] = len(adj)
-
-        results: list[DTuple] = []
-        best = 0
-        capped = False
-        nodes = 0
-        cands = 0  # adjacency entries read; walk() tallies its own output
-
-        def has_left_extension(stack: list[int], members: set[int]) -> bool:
-            # only lower neighbours of top can extend a leaf (see above)
-            top = stack[-1]
-            rest = stack[-2::-1]
-            for d in self.walk(top, 1, top - 1):
-                if d in members:
-                    continue
-                if all(square_root_if_square(x * d + n) is not None for x in rest):
-                    return True
-            return False
-
-        def explore(stack: list[int], members: set[int], kids: array | list[int]) -> None:
-            nonlocal best, capped, nodes, cands
-            nodes += 1
-            size = len(stack)
-            if size > best:
-                best = size
-            if kids:
-                pool = set(kids)
-                next_size = size + 1
-                for d in kids:
-                    up = adj[start[d]:start[d + 1]]
-                    cands += len(up)
-                    grand = [k for k in up if k in pool]
-                    if not grand and next_size < min_report:
-                        # childless and unreportable, no need to descend
-                        nodes += 1
-                        if next_size > best:
-                            best = next_size
-                        continue
-                    stack.append(d)
-                    members.add(d)
-                    explore(stack, members, grand)
-                    members.discard(d)
-                    stack.pop()
-                    if capped:
-                        return
-            elif size >= min_report and not has_left_extension(stack, members):
-                results.append(verify(tuple(stack), n))
-                if max_results is not None and len(results) >= max_results:
-                    capped = True
-
-        # stage 2: cliques seed by seed
-        for a in range(1, limit + 1):
-            explore([a], {a}, adj[start[a]:start[a + 1]])
-            if capped:
-                break
-
-        self.nodes += nodes
-        self.cands += cands
-        return results, best, capped
-
-
 def search_maximal(config: SearchConfig) -> SearchReport:
     """Enumerate every maximal D(n) tuple within [1, limit] of size >= min_report_size.
 
@@ -178,14 +76,74 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     flagged result_cap_exceeded (a deterministic prefix, never a silent
     truncation); the whole pair graph is still built first.
     """
-    engine = _Engine(config.n, config.limit)
-    results, best, capped = engine.run(config.min_report_size, config.max_results)
+    n, limit = config.n, config.limit
+    min_report, max_results = config.min_report_size, config.max_results
+    roots = RootTable(n, smallest_factor_sieve(limit)).roots
+
+    # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending
+    adj = array("i")
+    start = array("i", [0]) * (limit + 2)
+    for a in range(1, limit + 1):
+        adj.extend(walk(a, n, roots(a), a + 1, limit))
+        start[a + 1] = len(adj)
+
+    cands = len(adj)  # walk outputs, then adjacency entries read
+    results: list[DTuple] = []
+    best = 0
+    capped = False
+    nodes = 0
+
+    def has_left_extension(stack: list[int], members: set[int]) -> bool:
+        # only lower neighbours of top can extend a leaf (see above)
+        nonlocal cands
+        top = stack[-1]
+        below = walk(top, n, roots(top), 1, top - 1)
+        cands += len(below)
+        return next(extenders(below, members, stack[-2::-1], n), None) is not None
+
+    def explore(stack: list[int], members: set[int], kids: array | list[int]) -> None:
+        nonlocal best, capped, nodes, cands
+        nodes += 1
+        size = len(stack)
+        if size > best:
+            best = size
+        if kids:
+            pool = set(kids)
+            next_size = size + 1
+            for d in kids:
+                up = adj[start[d]:start[d + 1]]
+                cands += len(up)
+                grand = [k for k in up if k in pool]
+                if not grand and next_size < min_report:
+                    # childless and unreportable, no need to descend
+                    nodes += 1
+                    if next_size > best:
+                        best = next_size
+                    continue
+                stack.append(d)
+                members.add(d)
+                explore(stack, members, grand)
+                members.discard(d)
+                stack.pop()
+                if capped:
+                    return
+        elif size >= min_report and not has_left_extension(stack, members):
+            results.append(verify(tuple(stack), n))
+            if max_results is not None and len(results) >= max_results:
+                capped = True
+
+    # stage 2: cliques seed by seed
+    for a in range(1, limit + 1):
+        explore([a], {a}, adj[start[a]:start[a + 1]])
+        if capped:
+            break
+
     return SearchReport(
         config=config,
         maximal_tuples=results,
         empirical_max_size=best,
-        nodes_visited=engine.nodes,
-        candidates_tested=engine.cands,
+        nodes_visited=nodes,
+        candidates_tested=cands,
         result_cap_exceeded=capped,
     )
 
@@ -197,7 +155,5 @@ def empirical_max_size(n: int, limit: int) -> int:
     a heuristic, and serves as the desk-scale lower bound for the true
     maximum tuple size.
     """
-    _check_range(n, limit)
-    engine = _Engine(n, limit)
-    _, best, _ = engine.run(limit + 2, None)  # reporting threshold unreachable
-    return best
+    # min_report_size above limit is unreachable
+    return search_maximal(SearchConfig(n, limit, min_report_size=limit + 2)).empirical_max_size

@@ -292,13 +292,13 @@ def bounds_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
 
 def render_csv(records: list[dict]) -> tuple[tuple, list[tuple]]:
     """Choose the CSV shape matching a record stream (search, audit or bounds)."""
-    kinds = {obj.get("record") for obj in records}
-    kinds -= {"manifest", "audit_summary"}
+    kinds = {obj.get("record") for obj in records} - {"manifest"}
     if kinds <= {"dtuple", "search_summary"}:
         tuples = tuples_from_records(records)
         return SEARCH_CSV_HEADER, search_csv_rows(tuples)
     try:
-        if kinds <= {"gap_audit", "lemma2", "witness"}:
+        # an audit output ends in its audit_summary even when no check applied
+        if kinds <= {"gap_audit", "lemma2", "witness", "audit_summary"}:
             return AUDIT_CSV_HEADER, audit_csv_rows(records)
         if kinds <= {"bound"}:
             return BOUNDS_CSV_HEADER, bounds_csv_rows(records)

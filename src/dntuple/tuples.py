@@ -6,10 +6,12 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ceil_sqrt, integer_sqrt, pow_compare, square_root_if_square
+from .residues import walk
 
 
 class InputError(ValueError):
@@ -155,32 +157,40 @@ def verify(elements, n: int) -> DTuple | VerificationFailure:
 def extend(t: DTuple, lo: int, hi: int) -> list[int]:
     """All d in [lo, hi], not already a member, with x*d + n square for every member x.
 
-    Exact and exhaustive over the window. The scan iterates square root
-    values for the smallest member (the cheapest progression) and square
-    tests the rest.
+    Exact and exhaustive over the window: the partners of the smallest
+    member (the cheapest progression) are square tested against the rest.
     """
     if lo > hi:
         raise InvalidRangeError(f"empty range [{lo}, {hi}]")
-    lo = max(lo, 1)
-    n = t.n
-    base = t.elements[0]
-    members = set(t.elements)
-    rest = t.elements[:0:-1]  # larger members first, they reject fastest
-    out = []
-    for d in candidates_in_window(base, n, lo, hi):
-        if d in members:
-            continue
-        if all(square_root_if_square(x * d + n) is not None for x in rest):
-            out.append(d)
-    return out
+    els = t.elements
+    cands = candidates_in_window(els[0], t.n, max(lo, 1), hi)
+    return list(extenders(cands, set(els), els[:0:-1], t.n))
+
+
+def extenders(candidates: Iterable[int], members: Container[int],
+              rest: Sequence[int], n: int) -> Iterator[int]:
+    """The candidates d, not in members, with x*d + n square for every x in rest.
+
+    Lazy, so a caller that needs only one stops at the first. Put the
+    larger members first in rest: they reject fastest.
+    """
+    return (d for d in candidates if d not in members
+            and all(square_root_if_square(x * d + n) is not None for x in rest))
+
+
+# the most square root values a candidates_in_window window may span:
+# extend() over 10**7 of them takes about 14 s on 2 vCPUs, and windows far
+# past it would run for hours
+MAX_WINDOW_STEPS = 10**7
 
 
 def candidates_in_window(a: int, n: int, lo: int, hi: int) -> list[int]:
     """All d in [lo, hi] with a*d + n a perfect square, ascending.
 
-    Walks t over ceil(sqrt(max(0, a*lo+n))) .. floor(sqrt(a*hi+n)) and keeps
-    d = (t*t - n) / a when it divides. extend() walks its smallest member
-    through here.
+    The square roots t = sqrt(a*d + n) run over ceil(sqrt(max(0, a*lo+n)))
+    .. floor(sqrt(a*hi+n)); a window of more than MAX_WINDOW_STEPS values
+    is refused with InputError. One period of t finds the classes t mod a
+    that divide, and residues.walk steps through them.
     """
     if a < 1:
         raise InputError(f"a must be a positive integer, got {a}")
@@ -191,17 +201,13 @@ def candidates_in_window(a: int, n: int, lo: int, hi: int) -> list[int]:
     hi_val = a * hi + n
     if hi_val < 0:
         return []
-    t = ceil_sqrt(max(0, a * lo + n))
-    t_hi = integer_sqrt(hi_val)
-    out = []
-    while t <= t_hi:
-        num = t * t - n
-        if num % a == 0:
-            d = num // a
-            if lo <= d <= hi:
-                out.append(d)
-        t += 1
-    return out
+    t_lo = ceil_sqrt(max(0, a * lo + n))
+    steps = integer_sqrt(hi_val) - t_lo + 1
+    if steps > MAX_WINDOW_STEPS:
+        # no values in the message: str() of an int past 4 300 digits raises
+        raise InputError(f"window spans more than {MAX_WINDOW_STEPS} square roots of a*d + n")
+    roots = [t % a for t in range(t_lo, t_lo + min(a, steps)) if (t * t - n) % a == 0]
+    return walk(a, n, roots, lo, hi)
 
 
 def classify(t: DTuple, epsilon: Fraction) -> RangeClassification:

@@ -287,6 +287,40 @@ def test_from_search_refuses_a_file_without_search_records(tmp_path, capsys, com
     assert run_cli(capsys, *command, str(empty))[0] == 0
 
 
+@pytest.mark.parametrize("corpus", ["bounds", "empty"])
+def test_seed_corpus_refuses_a_file_without_tuples(tmp_path, capsys, corpus):
+    path = tmp_path / "corpus.jsonl"
+    if corpus == "bounds":
+        assert run_cli(capsys, "bounds", "--n", "7", "--eps", "1", "--out", str(path))[0] == 0
+    else:
+        path.write_bytes(b"")
+    code, out, err = run_cli(capsys, "audit", "--seed-corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_report_csv_of_an_audit_with_only_its_summary(tmp_path, capsys):
+    # no quadruple in a triple, so lemma5 never applies
+    seed, audit = tmp_path / "seed.jsonl", tmp_path / "audit.jsonl"
+    run_cli(capsys, "verify", "--n", "1", "--elements", "1,3,8", "--out", str(seed))
+    assert run_cli(capsys, "audit", "--seed-corpus", str(seed), "--checks", "lemma5",
+                   "--out", str(audit))[0] == 0
+    assert [r["record"] for r in records_of(audit.read_text(encoding="utf-8"))] == \
+        ["manifest", "audit_summary"]
+    code, out, _ = run_cli(capsys, "report", "--in", str(audit), "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["n,elements,check,margin,verdict"]
+
+
+def test_extend_window_above_cap_exits_two(capsys):
+    code, out, err = run_cli(capsys, "extend", "--n", "1", "--elements", "1,3",
+                             "--lo", "1", "--hi", str(10**38))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: window") and err.count("\n") == 1
+
+
 def test_search_limit_above_cap_exits_two(capsys):
     code, out, err = run_cli(capsys, "search", "--n", "1", "--limit", "10000001")
     assert code == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from naive_oracle import naive_maximal
 from dntuple import search
+from dntuple.residues import RootTable, smallest_factor_sieve, walk
 from dntuple.search import (
     MAX_LIMIT,
     SearchConfig,
@@ -156,6 +157,8 @@ def test_candidates_for_brute_force(a, n, hi):
     want = [d for d in range(1, hi + 1)
             if a * d + n >= 0 and math.isqrt(a * d + n) ** 2 == a * d + n]
     assert candidates_in_window(a, n, 1, hi) == want
+    # the search's roots, from the table rather than a scan of one period
+    assert walk(a, n, RootTable(n, smallest_factor_sieve(a)).roots(a), 1, hi) == want
 
 
 def test_every_reported_tuple_is_verified():

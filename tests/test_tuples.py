@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dntuple import tuples
 from dntuple.tuples import (
     DTuple,
     DuplicateElementError,
@@ -117,6 +118,16 @@ def test_candidates_in_window_rejects_bad_input():
         candidates_in_window(2, 0, 1, 10)
     with pytest.raises(InvalidRangeError):
         candidates_in_window(2, 2, 10, 1)
+
+
+def test_candidates_in_window_refuses_a_window_above_the_cap(monkeypatch):
+    # a = 1, n = 1, lo = 1: t runs from 2 to isqrt(hi + 1)
+    with pytest.raises(InputError):
+        candidates_in_window(1, 1, 1, 10**38)
+    monkeypatch.setattr(tuples, "MAX_WINDOW_STEPS", 10)
+    assert candidates_in_window(1, 1, 1, 142) == [t * t - 1 for t in range(2, 12)]
+    with pytest.raises(InputError):
+        candidates_in_window(1, 1, 1, 143)
 
 
 @given(st.integers(min_value=1, max_value=40),
