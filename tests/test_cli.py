@@ -406,6 +406,20 @@ def test_console_entry_point():
     assert '"record":"dtuple"' in proc.stdout
 
 
+def test_cli_import_leaves_out_process_pools():
+    # the search forks its workers itself; a pool module would add to the
+    # start-up time of every command
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dntuple.cli; print(sorted(set(sys.modules) & "
+         "{'multiprocessing', 'concurrent.futures', 'pickle', 'selectors', 'signal'}))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # serialization internals
 
 

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracle import naive_maximal
-from dntuple import search
+from dntuple import cli, search
 from dntuple.residues import RootTable, smallest_factor_sieve, walk
 from dntuple.search import (
     MAX_LIMIT,
@@ -167,3 +171,121 @@ def test_every_reported_tuple_is_verified():
         for a, b in itertools.combinations(t.elements, 2):
             r = t.witness_for(a, b).r
             assert r * r == a * b - 4
+
+
+# seed-sharded searches: forked workers, identical reports
+
+
+def force_workers(monkeypatch, jobs):
+    """Shard every search over jobs workers; return the (jobs, blocks) of each fork_map."""
+    calls = []
+    fork_map = search.fork_map
+
+    def spy(fn, blocks, jobs):
+        calls.append((jobs, len(blocks)))
+        return fork_map(fn, blocks, jobs)
+
+    monkeypatch.setattr(search, "FORK_MIN_LIMIT", 1)
+    monkeypatch.setattr(search, "usable_cpus", lambda: jobs)
+    monkeypatch.setattr(search, "fork_map", spy)
+    return calls
+
+
+def report_fields(report):
+    return ([(t.elements, t.witnesses) for t in report.maximal_tuples], report.nodes_visited,
+            report.candidates_tested, report.empirical_max_size, report.result_cap_exceeded)
+
+
+def test_seed_blocks_cover_the_seeds_in_order():
+    for limit in (1, 2, 7, 300, 5_000, 10**6):
+        for jobs in (1, 2, 3, 64):
+            blocks = search.seed_blocks(limit, jobs)
+            assert blocks[0][0] == 1 and blocks[-1][1] == limit + 1
+            assert all(lo < hi for lo, hi in blocks)
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) <= (1 if jobs == 1 else
+                                   min(jobs * search.BLOCKS_PER_WORKER, search.MAX_BLOCKS))
+    # the small seeds, which root the most cliques, get the small blocks
+    blocks = search.seed_blocks(10**6, 2)
+    assert len(blocks) > search.BLOCKS_PER_WORKER
+    assert blocks[0] == (1, 4) and blocks[-1] == (976_746, 10**6 + 1)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_sharded_search_equals_in_process(monkeypatch, jobs):
+    configs = [SearchConfig(n=n, limit=300, min_report_size=m)
+               for n in range(-10, 11) if n for m in (1, 2, 4)]
+    want = [report_fields(search_maximal(c)) for c in configs]
+    calls = force_workers(monkeypatch, jobs)
+    for config, fields in zip(configs, want):
+        calls.clear()
+        assert report_fields(search_maximal(config)) == fields, config
+        # both stages went to jobs workers over many blocks
+        assert calls == [(jobs, len(search.seed_blocks(300, jobs)))] * 2
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_sharded_capped_search_keeps_its_prefix(monkeypatch, jobs):
+    cases = [(1, 120, 3, 5), (1, 150, 2, 1), (4, 150, 2, 3), (-2, 150, 2, 11),
+             (9, 150, 2, 20)]
+    full = {c: search_maximal(SearchConfig(n=c[0], limit=c[1], min_report_size=c[2]))
+            for c in cases}
+    capped = {c: report_fields(search_maximal(SearchConfig(
+        n=c[0], limit=c[1], min_report_size=c[2], max_results=c[3]))) for c in cases}
+    calls = force_workers(monkeypatch, jobs)
+    for n, limit, min_size, cap in cases:
+        calls.clear()
+        report = search_maximal(SearchConfig(n=n, limit=limit, min_report_size=min_size,
+                                             max_results=cap))
+        assert report.result_cap_exceeded
+        assert found_elements(report) == found_elements(full[n, limit, min_size, cap])[:cap]
+        assert report_fields(report) == capped[n, limit, min_size, cap]
+        # stage 1 forked, stage 2 ran its seeds in one sequence
+        assert calls == [(jobs, len(search.seed_blocks(limit, jobs)))]
+
+
+@pytest.mark.parametrize("name", ["walk", "extenders"])
+def test_failed_worker_fails_the_search(monkeypatch, capsys, name):
+    # walk fails in stage 1, extenders in stage 2; the parent keeps working
+    parent = os.getpid()
+    real = getattr(search, name)
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ValueError("worker failure")
+        return real(*args)
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(search, name, failing)
+    with pytest.raises(search.WorkerError, match="worker failure"):
+        search_maximal(SearchConfig(n=4, limit=300, min_report_size=3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    capsys.readouterr()
+    assert cli.main(["search", "--n", "4", "--limit", "300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: WorkerError(") and "worker failure" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sharded_cli_output_is_written_once():
+    # stdout to a pipe is block buffered: a worker that flushed it on exit
+    # would repeat the line printed before the search
+    script = ("import sys\n"
+              "from dntuple import cli, search\n"
+              "if sys.argv[1] == 'forked':\n"
+              "    search.FORK_MIN_LIMIT = 1\n"
+              "    search.usable_cpus = lambda: 2\n"
+              "print('before')\n"
+              "sys.exit(cli.main(['search', '--n', '4', '--limit', '400', '--min-size', '2']))\n")
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run([sys.executable, "-c", script, mode], capture_output=True, env=env)
+            for mode in ("in-process", "forked")]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout.startswith(b"before\n")
+    assert runs[0].stdout.count(b"before") == 1
+    assert runs[1].stdout == runs[0].stdout

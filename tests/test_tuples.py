@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,15 @@ def test_extend_fermat_triple():
     assert extend(t, 1, 200) == [120]
 
 
+@pytest.mark.parametrize("part", [1, 2, 5])
+def test_extend_across_window_parts(monkeypatch, part):
+    # the same extensions when the window is walked a few square roots at a time
+    monkeypatch.setattr(tuples, "PART_STEPS", part)
+    assert extend(verify((1, 3, 8), 1), 1, 200) == [120]
+    assert extend(verify((1, 3), 1), -50, 15) == [8]
+    assert extend(verify((2,), 2), 10, 100) == [17, 31, 49, 71, 97]
+
+
 def test_extend_excludes_members_and_clamps():
     t = verify((1, 3), 1)
     found = extend(t, -50, 15)
@@ -133,25 +143,30 @@ def test_candidates_in_window_refuses_a_window_above_the_cap(monkeypatch):
 @given(st.integers(min_value=1, max_value=40),
        st.integers(min_value=-25, max_value=25).filter(lambda n: n != 0),
        st.integers(min_value=1, max_value=120),
-       st.integers(min_value=0, max_value=80))
+       st.integers(min_value=0, max_value=80),
+       st.sampled_from([1, 2, 3, 7, tuples.PART_STEPS]))
 @settings(max_examples=200)
-def test_candidates_in_window_matches_brute_force(a, n, lo, span):
+def test_candidates_in_window_matches_brute_force(a, n, lo, span, part):
     hi = lo + span
     want = [d for d in range(lo, hi + 1)
             if a * d + n >= 0 and math.isqrt(a * d + n) ** 2 == a * d + n]
-    assert candidates_in_window(a, n, lo, hi) == want
+    # small parts split the window at many square roots
+    with mock.patch.object(tuples, "PART_STEPS", part):
+        assert candidates_in_window(a, n, lo, hi) == want
 
 
 @given(st.integers(min_value=-10, max_value=10).filter(lambda n: n != 0),
        st.integers(min_value=1, max_value=60),
-       st.integers(min_value=1, max_value=150))
+       st.integers(min_value=1, max_value=150),
+       st.sampled_from([1, 3, tuples.PART_STEPS]))
 @settings(max_examples=150)
-def test_extend_matches_brute_force(n, seed, hi):
+def test_extend_matches_brute_force(n, seed, hi, part):
     t = verify((seed,), n)
     want = [d for d in range(1, hi + 1)
             if d != seed and d * seed + n >= 0
             and math.isqrt(d * seed + n) ** 2 == d * seed + n]
-    assert extend(t, 1, hi) == want
+    with mock.patch.object(tuples, "PART_STEPS", part):
+        assert extend(t, 1, hi) == want
 
 
 def test_classify_degenerate_unit_n():
