@@ -16,13 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import mpmath
+from functools import cache
 
 from .tuples import InputError, ZeroNError
-
-with mpmath.workprec(128):  # log of the window's growth factor 4.89
-    _LOG_GAP = mpmath.log(mpmath.mpf(489) / 100)
 
 # smallest accepted epsilon: k and ell grow like log(1/eps), and the cached
 # beta sequence with them, up to an entry near 260/eps; at 2^-1024 that is
@@ -126,11 +122,22 @@ def b_eps_bound(n: int, epsilon) -> int:
         raise ZeroNError("n must be nonzero")
     if abs(n) == 1:
         raise NotApplicableError("window count bound needs |n| >= 2")
+    import mpmath  # only the commands that compute a bound pay for this import
+
     with mpmath.workprec(128):
         q = mpmath.mpf(eps.numerator) / eps.denominator
-        q *= mpmath.log(abs(n)) / _LOG_GAP
+        q *= mpmath.log(abs(n)) / _log_gap()
         q += mpmath.ldexp(q, -96) + mpmath.ldexp(mpmath.mpf(1), -96)
         return int(mpmath.floor(q)) + 3
+
+
+@cache
+def _log_gap():
+    # log of the window's growth factor 4.89, computed once
+    import mpmath
+
+    with mpmath.workprec(128):
+        return mpmath.log(mpmath.mpf(489) / 100)
 
 
 @dataclass(frozen=True)
@@ -192,6 +199,8 @@ def bound_report(n: int, epsilon) -> BoundReport:
 def _prescribed_epsilon_bracket(m: int) -> tuple[Fraction, Fraction]:
     # rationals with 64 fractional bits enclosing loglog(m)/log(m),
     # slopped one ulp outward on each side
+    import mpmath
+
     with mpmath.workprec(192):
         scaled = mpmath.ldexp(mpmath.log(mpmath.log(m)) / mpmath.log(m), 64)
         lo = Fraction(int(mpmath.floor(scaled)) - 1, 2**64)

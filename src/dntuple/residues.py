@@ -2,7 +2,8 @@
 # partners {d : a*d + n square} of an element a by stepping t = sqrt(a*d + n)
 # through the classes t = r (mod a) with r*r = n (mod a), instead of
 # testing every square root value one by one. The search and extend() both
-# list partners through walk().
+# list partners through walk(); the search walks only the a that
+# RootTable.solvable marks as having a root at all.
 #
 # Internal module, property-tested against brute force and against
 # sympy's sqrt_mod.
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
+from itertools import chain, compress
 from math import isqrt
+from operator import not_
 
 from .exact import ceil_sqrt
 
@@ -38,8 +41,8 @@ def smallest_factor_sieve(limit: int) -> array:
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
     """One square root of n mod an odd prime p with p not dividing n, else None.
 
-    Tonelli-Shanks, with the p % 4 == 3 shortcut. Returns the smaller root
-    is not promised; callers pair it with p - root themselves.
+    Tonelli-Shanks, with the p % 4 == 3 shortcut. Either root may come
+    back; callers pair it with p - root themselves.
     """
     n %= p
     if pow(n, (p - 1) // 2, p) != 1:
@@ -103,6 +106,18 @@ class RootTable:
         self.spf = spf
         self._pp: dict[int, tuple[int, ...]] = {}  # keyed on p**e
 
+    def _prime_power(self, p: int, pe: int) -> tuple[int, ...]:
+        # roots mod pe = p**e, through the cache
+        rts = self._pp.get(pe)
+        if rts is None:
+            e = 1
+            q = pe
+            while q > p:
+                q //= p
+                e += 1
+            rts = self._pp[pe] = sqrt_mod_prime_power(self.n, p, e)
+        return rts
+
     def roots(self, a: int) -> tuple[int, ...]:
         """Sorted residues r in [0, a) with r*r = n (mod a)."""
         if a == 1:
@@ -121,13 +136,7 @@ class RootTable:
                 pe *= p
             rts = pp.get(pe)
             if rts is None:
-                e = 1
-                q = pe
-                while q > p:
-                    q //= p
-                    e += 1
-                rts = sqrt_mod_prime_power(self.n, p, e)
-                pp[pe] = rts
+                rts = self._prime_power(p, pe)
             if not rts:
                 return ()
             if combined is None:
@@ -141,6 +150,34 @@ class RootTable:
         if isinstance(combined, tuple):
             return combined  # single prime power, already sorted
         return tuple(sorted(combined))
+
+    def solvable(self, limit: int) -> bytearray:
+        """mask[a] = 1 for 1 <= a <= limit exactly when x^2 = n (mod a) has a root, else 0.
+
+        A root mod a exists iff one exists mod each prime power exactly
+        dividing a, and there is none mod p^(e+1) when there is none mod
+        p^e. So each prime zeroes the multiples of its smallest power
+        without a root: for an odd prime p not dividing n, p itself when n
+        is not a square mod p (Euler's criterion) and no power otherwise;
+        for p = 2 and each p dividing n, the first power whose roots are
+        empty. The sieve must reach limit.
+        """
+        mask = bytearray([1]) * (limit + 1)
+        mask[0] = 0
+        n = self.n
+        odd_primes = compress(range(3, limit + 1, 2), map(not_, self.spf[3::2]))
+        for p in chain((2,), odd_primes):
+            if p > 2 and n % p:
+                if pow(n, (p - 1) // 2, p) != 1:
+                    mask[p::p] = bytes(limit // p)
+                continue
+            pe = p
+            while pe <= limit:
+                if not self._prime_power(p, pe):
+                    mask[pe::pe] = bytes(limit // pe)
+                    break
+                pe *= p
+        return mask
 
 
 def walk(a: int, n: int, roots: Iterable[int], lo: int, hi: int) -> list[int]:

@@ -1,14 +1,21 @@
 # Bounded exhaustive search for maximal D(n) tuples inside [1, limit].
 #
 # Two stages, the shape of the brute-force oracle (tests/naive_oracle.py).
-# Stage 1 walks every seed a once and stores its upper neighbours
+# Stage 1 walks each seed a once and stores its upper neighbours
 # {d in (a, limit] : a*d + n square} in a CSR: an int32 array of
 # neighbours and one of per-seed offsets. residues.walk steps
 # t = sqrt(a*d + n) through the classes of RootTable.roots(a), so every
-# step lands on a neighbour. Stage 2 grows cliques depth first, seeds
-# ascending: the children of a node through candidate d are d's stored
-# upper neighbours among the node's candidates. Children exceed the
-# current maximum, so every tuple is visited once, in lexicographic order.
+# step lands on a neighbour. a*d + n = t*t needs t*t = n (mod a), so a
+# seed without such a root has no neighbour: RootTable.solvable marks the
+# seeds that have one, by slice writes over the sieve's primes, and only
+# those are walked (52 187 of 300 000 for n = -2 at limit 3*10^5).
+# Stage 2 grows cliques depth first, seeds ascending: the children of a
+# node through candidate d are d's stored upper neighbours among the
+# node's candidates. Children exceed the current maximum, so every tuple
+# is visited once, in lexicographic order. A seed with no upper neighbour
+# is a one-node leaf; when min_report > 1 it cannot be reported, so it is
+# counted where the seed loop reaches it, and a capped search that stops
+# early counts only the seeds before the stop.
 # A leaf has no common upper neighbour, so it is maximal iff no lower
 # neighbour of its top member is adjacent to all other members: one walk
 # of top's classes below top lists the lower neighbours, and
@@ -35,7 +42,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, pairwise
+from itertools import accumulate, compress, pairwise
 from typing import NoReturn, TypeVar
 
 from .residues import RootTable, smallest_factor_sieve, walk
@@ -47,8 +54,12 @@ T = TypeVar("T")
 MAX_LIMIT = 10**7
 
 # below this limit a search runs in one process. Forking the workers of
-# both stages costs about 20 ms; on 2 vCPUs a dense n (n = 4, 9) wins it
-# back from about 4 000 seeds on, a sparse n (n = -2, -6) from about 10 000
+# both stages costs about 20 ms. On 2 vCPUs (one process / forked, medians
+# of 11 fresh interpreters) n = -2 takes 16.6/29.0 ms at 10 000 and
+# 33.2/46.6 ms at 20 000 since stage 1 walks only the seeds with a root
+# (25.3/40.6 and 51.0/69.8 ms before), so a sparse n now breaks even above
+# 20 000; n = 4 at 6 000, min size 3, takes 228/243 ms. A lower floor
+# would fork such small searches for no gain, so it stays at 10 000
 FORK_MIN_LIMIT = 10_000
 
 # seed blocks per worker, so that a worker that drew heavy blocks is
@@ -120,7 +131,10 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     """
     n, limit = config.n, config.limit
     min_report, max_results = config.min_report_size, config.max_results
-    roots = RootTable(n, smallest_factor_sieve(limit)).roots
+    table = RootTable(n, smallest_factor_sieve(limit))
+    roots = table.roots
+    # a*d + n = r*r needs r*r = n (mod a): only seeds with a root have partners
+    live = table.solvable(limit)
     jobs = usable_cpus() if limit >= FORK_MIN_LIMIT and hasattr(os, "fork") else 1
     blocks = seed_blocks(limit, jobs)
 
@@ -128,11 +142,11 @@ def search_maximal(config: SearchConfig) -> SearchReport:
         # stage 1 on seeds [lo, hi): their upper neighbours, concatenated,
         # and how many each seed has
         chunk = array("i")
-        counts = array("i")
-        for a in range(lo, hi):
+        counts = array("i", [0]) * (hi - lo)
+        for a in compress(range(lo, hi), live[lo:hi]):
             up = walk(a, n, roots(a), a + 1, limit)
             chunk.extend(up)
-            counts.append(len(up))
+            counts[a - lo] = len(up)
         return chunk, counts
 
     # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending
@@ -193,6 +207,11 @@ def search_maximal(config: SearchConfig) -> SearchReport:
                     capped = True
 
         for a in range(lo, hi):
+            if min_report > 1 and start[a] == start[a + 1]:
+                # a childless seed is a one-node leaf, too small to report
+                nodes += 1
+                best = best or 1
+                continue
             explore([a], {a}, adj[start[a]:start[a + 1]])
             if capped:
                 break

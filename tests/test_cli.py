@@ -420,6 +420,18 @@ def test_cli_import_leaves_out_process_pools():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_mpmath():
+    # only bounds needs mpmath; the other commands should not import it
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dntuple.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # serialization internals
 
 

@@ -75,3 +75,28 @@ def test_root_table_reuses_prime_power_cache():
     table.roots(22)
     table.roots(44)
     assert 4 in table._pp and 11 in table._pp
+
+
+@pytest.mark.parametrize("n", [-(2**9) * 5, 2 * 3**7, 2**10, -(2**7), 7**4 * 3, -(5**2) * 11,
+                               3**2 * 2, 4 * 13, -1, 1, 2, -2])
+def test_solvable_mask_matches_roots(n):
+    # high powers of 2 and of odd primes dividing n are where the first
+    # power without a root sits above p itself
+    table = RootTable(n, smallest_factor_sieve(3000))
+    mask = table.solvable(3000)
+    assert len(mask) == 3001 and mask[0] == 0
+    fresh = RootTable(n, smallest_factor_sieve(3000))
+    assert [a for a in range(1, 3001) if mask[a]] == [
+        a for a in range(1, 3001) if fresh.roots(a) != ()]
+
+
+@given(n=st.integers(min_value=-60, max_value=60).filter(bool),
+       k=st.integers(min_value=0, max_value=11),
+       limit=st.integers(min_value=1, max_value=3000))
+@settings(max_examples=60, deadline=None)
+def test_solvable_mask_property(n, k, limit):
+    n *= (2, 3, 5, 7)[k % 4] ** k
+    spf = smallest_factor_sieve(limit)
+    mask = RootTable(n, spf).solvable(limit)
+    table = RootTable(n, spf)
+    assert all(mask[a] == (table.roots(a) != ()) for a in range(1, limit + 1))

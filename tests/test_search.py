@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -242,6 +243,40 @@ def test_sharded_capped_search_keeps_its_prefix(monkeypatch, jobs):
         assert report_fields(report) == capped[n, limit, min_size, cap]
         # stage 1 forked, stage 2 ran its seeds in one sequence
         assert calls == [(jobs, len(search.seed_blocks(limit, jobs)))]
+
+
+# (n, limit, min size, cap) -> nodes_visited, candidates_tested, empirical_max_size,
+# result_cap_exceeded, tuple count, last tuple, sha256 of the element lists.
+# Recorded from a search that sent every seed through explore(). A capped
+# search stops part way through its seeds, so a shortcut that counts any
+# seed ahead of the traversal changes these.
+CAPPED_COUNTERS = [
+    (-2, 20000, 2, 5, 8, 14211, 3, True, 5, (1, 3, 66), "b0386aba4631fa07"),
+    (-2, 3000, 1, 900, 1830, 12501, 3, True, 900, (187, 921, 1938), "f8c82fef32c2c6f3"),
+    (-2, 3000, 2, 60, 113, 3230, 3, True, 60, (1, 2603, 2706), "1fa483884f193368"),
+    (-2, 3000, 3, 950, 2563, 13711, 3, True, 950, (402, 443, 1689), "c5309c0a877f017b"),
+    (-2, 3000, 4, 1, 6042, 11160, 3, False, 0, None, "4f53cda18c2baa0c"),
+    (-6, 3000, 3, 1100, 2878, 14974, 3, True, 1100, (393, 742, 2215), "ed701cbb5a80d2d5"),
+    (4, 2000, 1, 50, 123, 11226, 4, True, 50, (2, 126, 160), "010c5b3cf3cbbd30"),
+    (4, 2000, 2, 300, 665, 21016, 4, True, 300, (9, 544, 693), "45cc16838b09394b"),
+    (4, 2000, 3, 100, 234, 13593, 4, True, 100, (3, 644, 735), "86195dfe2691ea54"),
+    (4, 2000, 4, 12, 280, 12509, 4, True, 12, (4, 8, 24, 840), "566c164cae95d264"),
+    (9, 1500, 4, 1, 5, 5852, 4, True, 1, (1, 7, 40, 216), "9961ab647e34a358"),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", CAPPED_COUNTERS, ids=lambda c: "n%d-%d-min%d-cap%d" % c[:4])
+def test_capped_search_counters_are_pinned(monkeypatch, jobs, case):
+    n, limit, min_size, cap, nodes, cands, best, exceeded, count, last, digest = case
+    force_workers(monkeypatch, jobs)
+    report = search_maximal(SearchConfig(n=n, limit=limit, min_report_size=min_size,
+                                         max_results=cap))
+    elements = found_elements(report)
+    assert (report.nodes_visited, report.candidates_tested, report.empirical_max_size,
+            report.result_cap_exceeded) == (nodes, cands, best, exceeded)
+    assert len(elements) == count and (elements[-1] if elements else None) == last
+    assert hashlib.sha256(repr(elements).encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("name", ["walk", "extenders"])
