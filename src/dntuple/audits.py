@@ -29,19 +29,15 @@ class PreconditionNotMetError(ValueError):
 
 
 class WitnessNotFoundError(RuntimeError):
-    """Exhausted the e-scan without a witness.
+    """The closed-form e0 is not a witness for the triple.
 
-    Inconclusive rather than contradictory: the witness is only guaranteed
-    to exist somewhere in Z, and the scan covers a finite window.
+    On a verified triple this cannot happen (see find_witness_e), so a miss
+    is a defect in our own arithmetic, not an inconclusive search.
     """
 
-    def __init__(self, triple: DTuple, search_bound: int):
+    def __init__(self, triple: DTuple):
         self.triple = triple
-        self.search_bound = search_bound
-        super().__init__(
-            f"no witness e in [-{search_bound}, {search_bound}] for "
-            f"{triple.elements} with n={triple.n}"
-        )
+        super().__init__(f"no witness e for {triple.elements} with n={triple.n}")
 
 
 @dataclass(frozen=True)
@@ -138,38 +134,33 @@ def _witness_at(
     return None
 
 
-def find_witness_e(triple: DTuple, search_bound: int | None = None) -> LemmaThreeWitness:
+def find_witness_e(triple: DTuple, search_bound: None = None) -> LemmaThreeWitness:
     """Find integers (e, x, y, z) witnessing the triple identity.
 
-    Tries the closed-form candidate e0 = n*(a+b+c) + 2*a*b*c - 2*r*s*t
-    first. The candidate is a hint, never trusted: it only wins if the
-    substitution checks pass exactly. Otherwise falls back to scanning
-    e over [-search_bound, search_bound] in ascending order (restricted
-    to e with c*e + n^2 >= 0, below which no witness can exist).
+    With r^2 = a*b + n, s^2 = a*c + n and t^2 = b*c + n, the extension
+    value e0 = n*(a+b+c) + 2*a*b*c - 2*r*s*t gives
 
-    search_bound defaults to 10*c*|n|. Raises WitnessNotFoundError when
-    the scan exhausts; the error reports the window, since a miss only
-    means "not found here".
+        a*e0 + n^2 = (a*t - r*s)^2
+        b*e0 + n^2 = (b*s - r*t)^2
+        c*e0 + n^2 = (c*r - s*t)^2
+
+    and with x = a*t - r*s, y = b*s - r*t the closing identity reduces to
+    2*r*s*t*(r^2 - a*b - n) = 0. So e0 is a witness of every verified
+    triple and no other e needs trying. It is still a hint, never trusted:
+    it only wins if the substitution checks pass exactly, and a miss
+    raises WitnessNotFoundError.
+
+    search_bound takes only None: perfbench's tracer still passes it
+    positionally.
     """
+    if search_bound is not None:
+        raise InputError(f"search_bound takes only None, got {search_bound}")
     a, b, c, r, s, t, n = _triple_context(triple)
-    if search_bound is None:
-        search_bound = 10 * c * abs(n)
-    elif search_bound < 1:
-        raise InputError(f"search_bound must be positive, got {search_bound}")
-
     e0 = n * (a + b + c) + 2 * a * b * c - 2 * r * s * t
     found = _witness_at(e0, a, b, c, r, n)
-    if found is not None:
-        return found
-
-    floor = -(n * n // c)  # c*e + n^2 < 0 below this
-    for e in range(max(-search_bound, floor), search_bound + 1):
-        if e == e0:
-            continue
-        found = _witness_at(e, a, b, c, r, n)
-        if found is not None:
-            return found
-    raise WitnessNotFoundError(triple, search_bound)
+    if found is None:
+        raise WitnessNotFoundError(triple)
+    return found
 
 
 def _gap_elements(quad: DTuple) -> tuple[int, int, int, int]:

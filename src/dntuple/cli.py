@@ -166,6 +166,8 @@ def _emit_for_tuple(args, manifest: RunManifest, records) -> int:
 
 def cmd_verify(args) -> int:
     if args.from_search:
+        if args.n is not None or args.elements is not None:
+            raise InputError("verify takes --n and --elements or --from-search, not both")
         with open(args.from_search, "rb") as fh:
             blob = fh.read()
         params = {"from_search": args.from_search}
@@ -216,12 +218,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    params = {"n": args.n, "elements": list(args.elements),
-              "e_scan_bound": args.e_scan_bound}
+    params = {"n": args.n, "elements": list(args.elements)}
     manifest = _manifest("witness", params, args.timestamps)
     try:
         return _emit_for_tuple(args, manifest, lambda t: [
-            witness_to_obj(t, find_witness_e(t, args.e_scan_bound))])
+            witness_to_obj(t, find_witness_e(t))])
     except WitnessNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -231,8 +232,7 @@ def cmd_audit(args) -> int:
     path = args.seed_corpus or args.from_search
     with open(path, "rb") as fh:
         blob = fh.read()
-    params = {"checks": list(args.checks), "corpus": path,
-              "e_scan_bound": args.e_scan_bound}
+    params = {"checks": list(args.checks), "corpus": path}
     manifest = _manifest("audit", params, args.timestamps, blob)
     # a seed corpus must hold a tuple; a search may have found none
     tuples = tuples_from_records(
@@ -273,14 +273,13 @@ def cmd_audit(args) -> int:
                 tri = verify(tri_elems, t.n)
                 assert isinstance(tri, DTuple)
                 try:
-                    w = find_witness_e(tri, args.e_scan_bound)
-                except WitnessNotFoundError as exc:
+                    w = find_witness_e(tri)
+                except WitnessNotFoundError:
                     failures += 1
                     objs.append({
                         "record": "witness_missing",
                         "n": tri.n,
                         "elements": list(tri.elements),
-                        "search_bound": exc.search_bound,
                     })
                 else:
                     checked["lemma3"] += 1
@@ -375,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--seed-corpus", metavar="PATH")
     src.add_argument("--from-search", metavar="PATH")
-    p.add_argument("--e-scan-bound", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("witness", help="find the triple witness (e, x, y, z)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--elements", type=_elements_arg, required=True)
-    p.add_argument("--e-scan-bound", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_witness)
 
@@ -393,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     eg = p.add_mutually_exclusive_group()
     eg.add_argument("--eps", type=_rational_arg)
     eg.add_argument("--eps-grid", type=_eps_grid_arg, metavar="RATIONALS")
-    p.add_argument("--theorem1", action="store_true",
-                   help="use the prescribed epsilon loglog|n|/log|n| per n")
+    eg.add_argument("--theorem1", action="store_true",
+                    help="use the prescribed epsilon loglog|n|/log|n| per n")
     common(p)
     p.set_defaults(func=cmd_bounds)
 

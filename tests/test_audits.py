@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dntuple.audits import (
     GapAuditRecord,
@@ -84,7 +84,7 @@ def test_witness_doubled_fib_slices():
 
 
 def test_witness_found_over_search_corpus_small():
-    for n in (1, -1, 2, 3, -4):
+    for n in [m for k in range(1, 11) for m in (k, -k)]:
         report = search_maximal(SearchConfig(n=n, limit=300, min_report_size=3))
         for t in report.maximal_tuples:
             for tri_elems in itertools.combinations(t.elements, 3):
@@ -95,26 +95,29 @@ def test_witness_found_over_search_corpus_small():
                     assert w.e >= 0
 
 
-def test_witness_not_found_reports_window():
-    # fabricated non-D(1) triple: 2e+1 and 4e+1 are both squares only at
-    # e in {0, 12, ...} and neither satisfies the remaining equations, so
-    # a bounded scan provably exhausts
+def test_witness_not_found_carries_triple():
+    # fabricated non-D(1) triple: its e0 = 1*15 + 144 - 0 = 159 makes
+    # 2e0+1 = 319 no square, so the closed form misses
     from dntuple.tuples import PairWitness
 
     fake = DTuple(n=1, elements=(2, 4, 9), witnesses=(
         PairWitness(2, 4, 3), PairWitness(2, 9, 0), PairWitness(4, 9, 0)))
     with pytest.raises(WitnessNotFoundError) as exc_info:
-        find_witness_e(fake, search_bound=50)
+        find_witness_e(fake)
     err = exc_info.value
-    assert err.search_bound == 50
-    assert "[-50, 50]" in str(err)
+    assert err.triple is fake
+    assert not hasattr(err, "search_bound")
+    assert str(err) == "no witness e for (2, 4, 9) with n=1"
 
 
 def test_witness_size_gate_and_bound_validation():
     with pytest.raises(InputError):
         find_witness_e(vt((1, 3), 1))
+    # the positional call shape perfbench's tracer uses: None only
+    t = vt((3, 8, 120), 1)
+    assert find_witness_e(t, None) == find_witness_e(t)
     with pytest.raises(InputError):
-        find_witness_e(vt((1, 3, 8), 1), search_bound=0)
+        find_witness_e(t, 50)
 
 
 def test_gap_lemma5_doubled_fib():
@@ -188,4 +191,25 @@ def test_witness_agrees_with_exhaustive_scan(seed, n):
         return
     t = vt(triple, n)
     w = find_witness_e(t)
+    assert w.satisfies(t)
+
+
+@given(st.integers(min_value=1, max_value=2**100 - 1),
+       st.integers(min_value=1, max_value=2**100 - 1),
+       st.integers(min_value=0, max_value=2**100 - 1),
+       st.sampled_from((1, -1)))
+@settings(max_examples=500, deadline=None)
+def test_witness_closed_form_beyond_search_scale(a, b, r, sign):
+    # {a, b, a + b +- 2r} is a D(r^2 - ab) triple: a*c + n = (a +- r)^2
+    # and b*c + n = (b +- r)^2, at sizes no search reaches
+    n = r * r - a * b
+    c = a + b + sign * 2 * r
+    assume(n != 0 and a != b and c > 0 and c not in (a, b))
+    t = verify((a, b, c), n)
+    assert isinstance(t, DTuple)
+    lo, mid, hi = t.elements
+    r1, r2, r3 = (t.witness_for(lo, mid).r, t.witness_for(lo, hi).r,
+                  t.witness_for(mid, hi).r)
+    w = find_witness_e(t)
+    assert w.e == n * (lo + mid + hi) + 2 * lo * mid * hi - 2 * r1 * r2 * r3
     assert w.satisfies(t)

@@ -61,6 +61,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["audit", "--checks", "lemma9", "--seed-corpus", "nope"])
     assert exc_info.value.code == 2
+    # --theorem1 prescribes its own epsilon
+    for eps in (["--eps", "1/2"], ["--eps-grid", "1,1/2"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bounds", "--n", "16", "--theorem1", *eps])
+        assert exc_info.value.code == 2
 
 
 def test_extend_cli(capsys):
@@ -160,11 +165,38 @@ def test_audit_witness_scan_bound_flag(tmp_path, capsys):
     seed_path = tmp_path / "seed.jsonl"
     run_cli(capsys, "verify", "--n", "1", "--elements", "1,3,8",
             "--out", str(seed_path))
+    for argv in (["audit", "--seed-corpus", str(seed_path), "--checks", "lemma3"],
+                 ["witness", "--n", "1", "--elements", "1,3,8"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--e-scan-bound", "100"])
+        assert exc_info.value.code == 2
     code, out, _ = run_cli(capsys, "audit", "--seed-corpus", str(seed_path),
-                           "--checks", "lemma3", "--e-scan-bound", "100")
+                           "--checks", "lemma3")
     assert code == 0
     recs = records_of(out)
     assert any(r["record"] == "witness" and r["e"] == 0 for r in recs)
+
+
+def test_audit_witness_miss_records_and_exits_one(tmp_path, capsys, monkeypatch):
+    import dntuple.cli as cli
+    from dntuple.audits import WitnessNotFoundError
+
+    def miss(triple):
+        raise WitnessNotFoundError(triple)
+
+    seed_path = tmp_path / "seed.jsonl"
+    run_cli(capsys, "verify", "--n", "1", "--elements", "1,3,8",
+            "--out", str(seed_path))
+    monkeypatch.setattr(cli, "find_witness_e", miss)
+    code, out, _ = run_cli(capsys, "audit", "--seed-corpus", str(seed_path),
+                           "--checks", "lemma3")
+    assert code == 1
+    recs = records_of(out)
+    assert recs[1] == {"record": "witness_missing", "n": 1, "elements": [1, 3, 8]}
+    assert recs[-1]["failures"] == 1
+    code, _, err = run_cli(capsys, "witness", "--n", "1", "--elements", "1,3,8")
+    assert code == 1
+    assert err == "no witness e for (1, 3, 8) with n=1\n"
 
 
 def test_bounds_grid_cli(capsys):
@@ -343,6 +375,16 @@ def test_verify_from_search_reports_non_square_tuple(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--from-search", str(path))
     assert code == 1
     assert records_of(out)[1]["record"] == "verification_failure"
+
+
+def test_verify_from_search_refuses_tuple_flags(tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"record":"dtuple","n":1,"elements":[1,3,8]}\n', encoding="utf-8")
+    for extra in (["--n", "5"], ["--elements", "1,2"], ["--n", "5", "--elements", "1,2"]):
+        code, out, err = run_cli(capsys, "verify", "--from-search", str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
