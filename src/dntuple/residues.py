@@ -160,11 +160,14 @@ class RootTable:
         without a root: for an odd prime p not dividing n, p itself when n
         is not a square mod p (Euler's criterion) and no power otherwise;
         for p = 2 and each p dividing n, the first power whose roots are
-        empty. The sieve must reach limit.
+        empty. The sieve must reach limit. A square n has the root sqrt(n)
+        mod every a, so every mask entry from 1 on is 1.
         """
         mask = bytearray([1]) * (limit + 1)
         mask[0] = 0
         n = self.n
+        if n > 0 and isqrt(n) ** 2 == n:
+            return mask
         odd_primes = compress(range(3, limit + 1, 2), map(not_, self.spf[3::2]))
         for p in chain((2,), odd_primes):
             if p > 2 and n % p:

@@ -28,12 +28,16 @@
 # in the process's affinity mask (taskset narrows it). Stage 1 workers
 # return each block's neighbours and per-seed counts, spliced into the CSR
 # in block order; stage 2 workers inherit the CSR and the root table
-# through the fork and return each block's element lists and counters.
+# through the fork and return each block's element lists, each with the
+# counters as they stood when it was found, and the block's counters.
 # Block order is seed order, so the concatenated tuples are already
 # lexicographic, the counters sum, and the report is byte-identical for
-# any number of workers. A search below FORK_MIN_LIMIT, on one CPU, or
-# without os.fork runs in one process; so does the stage 2 of a capped
-# search, whose prefix needs the seeds in one sequence.
+# any number of workers. A capped search reads the blocks in order and
+# stops at the tuple that reaches the cap, with the counters of the blocks
+# before it plus those recorded with that tuple: what one pass over the
+# seeds that stopped there would count. A search below FORK_MIN_LIMIT, on
+# one CPU, or without os.fork runs its blocks in one process, one after
+# another, so a capped one stops after the block that reaches the cap.
 
 from __future__ import annotations
 
@@ -41,12 +45,16 @@ import os
 import sys
 from array import array
 from collections.abc import Callable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, pairwise
-from typing import NoReturn, TypeVar
+from typing import TYPE_CHECKING, NoReturn, TypeVar
 
 from .residues import RootTable, smallest_factor_sieve, walk
 from .tuples import DTuple, InputError, ZeroNError, extenders, verify
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 T = TypeVar("T")
 
@@ -54,7 +62,8 @@ T = TypeVar("T")
 MAX_LIMIT = 10**7
 
 # below this limit a search runs in one process. Forking the workers of
-# both stages costs about 20 ms. On 2 vCPUs (one process / forked, medians
+# both stages costs about 20 ms, and the first forked search in a process
+# about 15 ms more to import multiprocessing.connection. On 2 vCPUs (one process / forked, medians
 # of 11 fresh interpreters) n = -2 takes 16.6/29.0 ms at 10 000 and
 # 33.2/46.6 ms at 20 000 since stage 1 walks only the seeds with a root
 # (25.3/40.6 and 51.0/69.8 ms before), so a sparse n now breaks even above
@@ -65,11 +74,6 @@ FORK_MIN_LIMIT = 10_000
 # seed blocks per worker, so that a worker that drew heavy blocks is
 # balanced by the others drawing more light ones
 BLOCKS_PER_WORKER = 64
-
-# a worker sends its results once this many bytes are ready, or when it
-# ends: few writes for small results, little held back for large ones.
-# The parent reads its workers' pipes in pieces of the same size.
-REPLY_BUFFER = 1 << 16
 
 # at most this many blocks: their 4-byte indices must fit in a pipe's
 # smallest buffer, one page, before any worker reads them
@@ -107,7 +111,10 @@ class SearchReport:
 
     empirical_max_size is the largest tuple size visited anywhere in the
     traversal, whether or not it cleared min_report_size; it is a lower
-    bound for the true maximum over [1, limit].
+    bound for the true maximum over [1, limit]. When the cap stops a
+    search, it, nodes_visited and candidates_tested count the traversal
+    up to the last reported tuple; candidates_tested also counts the pair
+    graph, which is built over every seed first.
     """
 
     config: SearchConfig
@@ -124,10 +131,11 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     Maximal means extend(t, 1, limit) is empty: nothing in range extends
     the tuple, below or above its maximum. Output order is lexicographic
     on element lists and byte-stable across reruns, whatever the number
-    of workers. With max_results set, traversal stops after that many
-    reported tuples and the report is flagged result_cap_exceeded (a
-    deterministic prefix, never a silent truncation); the whole pair
-    graph is still built first.
+    of workers. With max_results set, the report keeps the first that
+    many tuples and is flagged result_cap_exceeded once they are reached
+    (a deterministic prefix, never a silent truncation); the whole pair
+    graph is still built first, and the clique growth stops at the block
+    of seeds that holds the last kept tuple.
     """
     n, limit = config.n, config.limit
     min_report, max_results = config.min_report_size, config.max_results
@@ -159,13 +167,12 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     start.extend(accumulate(counts, initial=0))
     del counts
 
-    def grow(lo: int, hi: int, cap: int | None = None) -> tuple[list, int, int, int, bool]:
-        # stage 2 on seeds [lo, hi): the element lists of the reported
-        # tuples, the largest size, nodes and candidates, and whether the
-        # cap stopped it
-        found: list[tuple[int, ...]] = []
+    def grow(lo: int, hi: int) -> tuple[list, int, int, int]:
+        # stage 2 on seeds [lo, hi): the reported tuples, each as its
+        # elements with the largest size, nodes and candidates counted up
+        # to it, then the block's totals of those three
+        found: list[tuple[tuple[int, ...], int, int, int]] = []
         best = nodes = cands = 0
-        capped = False
 
         def has_left_extension(stack: list[int], members: set[int]) -> bool:
             # only lower neighbours of top can extend a leaf (see above)
@@ -176,7 +183,7 @@ def search_maximal(config: SearchConfig) -> SearchReport:
             return next(extenders(below, members, stack[-2::-1], n), None) is not None
 
         def explore(stack: list[int], members: set[int], kids: array | list[int]) -> None:
-            nonlocal best, capped, nodes, cands
+            nonlocal best, nodes, cands
             nodes += 1
             size = len(stack)
             if size > best:
@@ -199,12 +206,8 @@ def search_maximal(config: SearchConfig) -> SearchReport:
                     explore(stack, members, grand)
                     members.discard(d)
                     stack.pop()
-                    if capped:
-                        return
             elif size >= min_report and not has_left_extension(stack, members):
-                found.append(tuple(stack))
-                if cap is not None and len(found) >= cap:
-                    capped = True
+                found.append((tuple(stack), best, nodes, cands))
 
         for a in range(lo, hi):
             if min_report > 1 and start[a] == start[a + 1]:
@@ -213,22 +216,24 @@ def search_maximal(config: SearchConfig) -> SearchReport:
                 best = best or 1
                 continue
             explore([a], {a}, adj[start[a]:start[a + 1]])
-            if capped:
-                break
-        return found, best, nodes, cands, capped
+        return found, best, nodes, cands
 
-    # stage 2: cliques seed by seed; a cap needs the seeds in one sequence
-    if max_results is None:
-        parts = fork_map(grow, blocks, jobs)
-    else:
-        parts = [grow(1, limit + 1, max_results)]
+    # stage 2: cliques seed by seed, read in block order up to the cap
     report = SearchReport(config=config, candidates_tested=len(adj))
-    for found, best, nodes, cands, capped in parts:
-        report.maximal_tuples.extend(verify(els, n) for els in found)
-        report.empirical_max_size = max(report.empirical_max_size, best)
-        report.nodes_visited += nodes
-        report.candidates_tested += cands
-        report.result_cap_exceeded |= capped
+    tuples = report.maximal_tuples
+    with closing(fork_map(grow, blocks, jobs)) as parts:
+        for found, best, nodes, cands in parts:
+            for els, *upto in found:
+                tuples.append(verify(els, n))
+                if len(tuples) == max_results:
+                    best, nodes, cands = upto
+                    report.result_cap_exceeded = True
+                    break
+            report.empirical_max_size = max(report.empirical_max_size, best)
+            report.nodes_visited += nodes
+            report.candidates_tested += cands
+            if report.result_cap_exceeded:
+                break
     return report
 
 
@@ -243,12 +248,13 @@ def usable_cpus() -> int:
 def seed_blocks(limit: int, jobs: int) -> list[tuple[int, int]]:
     """[lo, hi) ranges of consecutive seeds that cover [1, limit], ascending.
 
-    One block when jobs is 1. Else up to BLOCKS_PER_WORKER per worker,
-    capped at MAX_BLOCKS, and the k-th of K blocks ends near
-    limit * (k/K)^3: a small seed roots far more cliques than a large
-    one, so the blocks hold about even shares of the clique growth.
+    Up to BLOCKS_PER_WORKER per worker, capped at MAX_BLOCKS, even for
+    one process, so that a capped search stops after few blocks. The k-th
+    of K blocks ends near limit * (k/K)^3: a small seed roots far more
+    cliques than a large one, so the blocks hold about even shares of the
+    clique growth.
     """
-    count = 1 if jobs == 1 else min(jobs * BLOCKS_PER_WORKER, MAX_BLOCKS)
+    count = min(jobs * BLOCKS_PER_WORKER, MAX_BLOCKS)
     ends = dict.fromkeys(1 + limit * k**3 // count**3 for k in range(count + 1))
     return list(pairwise(ends))
 
@@ -260,102 +266,82 @@ def fork_map(fn: Callable[[int, int], T], blocks: list[tuple[int, int]],
     fn runs in a child forked from this process, so it sees this
     process's data as it was at the fork, and it returns a picklable
     value. The workers draw block indices from one shared pipe and send
-    the results back on their own pipe as they accumulate; results are
-    yielded in block order, each held only until its turn. The
-    children end with os._exit, so they never run this process's exit
-    handlers or flush its buffers. If a worker fails, the iteration
-    raises WorkerError; on any exit every worker is reaped.
+    each result back on their own connection; results are yielded in
+    block order, each held only until its turn. The children end with
+    os._exit, so they never run this process's exit handlers or flush its
+    buffers. If a worker fails, the iteration raises WorkerError; on any
+    exit, closing the iterator early included, every worker is killed if
+    still running and reaped.
     """
     jobs = min(jobs, len(blocks))
     if jobs == 1:
         for lo, hi in blocks:
             yield fn(lo, hi)
         return
-    import pickle  # only a forked run pays for these imports
-    import selectors
-    import signal
+    import signal  # only a forked run pays for these imports
+    from multiprocessing.connection import Pipe, wait
 
     queue, queue_in = os.pipe()
     os.write(queue_in, array("i", range(len(blocks))).tobytes())
     os.close(queue_in)  # an empty queue now reads as end of file
     pids: list[int] = []
-    replies: list[int] = []
+    replies: list[Connection] = []
     try:
         for _ in range(jobs):
-            reply, reply_in = os.pipe()
+            reply, reply_in = Pipe(duplex=False)
             replies.append(reply)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    os.close(reply)
+                    reply.close()
                     _serve(fn, blocks, queue, reply_in)
             finally:
-                os.close(reply_in)  # in this process only: _serve never returns
+                reply_in.close()  # in this process only: _serve never returns
             pids.append(pid)
         done: dict[int, T] = {}  # results that arrived before their turn
-        with selectors.DefaultSelector() as sel:
-            for reply in replies:
-                sel.register(reply, selectors.EVENT_READ, bytearray())
-            for i in range(len(blocks)):
-                while i not in done:
-                    if not sel.get_map():
-                        raise WorkerError(f"search workers ended without block {i}")
-                    for key, _ in sel.select():
-                        data = os.read(key.fd, REPLY_BUFFER)
-                        if not data:
-                            sel.unregister(key.fd)
-                            continue
-                        buf = key.data
-                        buf += data
-                        # frames: an 8-byte length, then the pickled (index, ok, value)
-                        while len(buf) >= 8:
-                            end = 8 + int.from_bytes(buf[:8], "little")
-                            if len(buf) < end:
-                                break
-                            j, ok, value = pickle.loads(buf[8:end])
-                            del buf[:end]
-                            if not ok:
-                                raise WorkerError(f"search worker failed: {value}")
-                            done[j] = value
-                yield done.pop(i)
+        live = list(replies)
+        for i in range(len(blocks)):
+            while i not in done:
+                if not live:
+                    raise WorkerError(f"search workers ended without block {i}")
+                for reply in wait(live):
+                    try:
+                        j, ok, value = reply.recv()
+                    except (EOFError, OSError):  # the worker ended, perhaps mid-message
+                        live.remove(reply)
+                        continue
+                    if not ok:
+                        raise WorkerError(f"search worker failed: {value}")
+                    done[j] = value
+            yield done.pop(i)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for fd in (queue, *replies):
-            os.close(fd)
+        os.close(queue)
+        for reply in replies:
+            reply.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
 
 def _serve(fn: Callable[[int, int], object], blocks: list[tuple[int, int]], queue: int,
-           reply_in: int) -> NoReturn:
+           reply: Connection) -> NoReturn:
     # a worker's whole life: run the blocks it draws, send each result (or
     # the failure) back, and exit without unwinding into the parent's code
-    import pickle
-
     status = 1
     try:
-        # the buffer batches small results into one write
-        with open(reply_in, "wb", buffering=REPLY_BUFFER) as out:
+        while index := os.read(queue, 4):
+            i = int.from_bytes(index, sys.byteorder)
+            lo, hi = blocks[i]
+            reply.send((i, True, fn(lo, hi)))
+        status = 0
+    except BaseException as exc:
+        import traceback
 
-            def send(frame: tuple) -> None:
-                blob = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
-                out.write(len(blob).to_bytes(8, "little"))
-                out.write(blob)
-
-            try:
-                while index := os.read(queue, 4):
-                    i = int.from_bytes(index, sys.byteorder)
-                    lo, hi = blocks[i]
-                    send((i, True, fn(lo, hi)))
-                status = 0
-            except BaseException as exc:
-                import traceback
-
-                where = traceback.extract_tb(exc.__traceback__)[-1]
-                send((-1, False, f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"))
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        reply.send((-1, False, f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"))
     finally:
         os._exit(status)
 

@@ -250,12 +250,13 @@ def audit_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
 
     One row per individual check; margins are the measured quantities
     (c/a and d/c for lemma5, d*n^2/(b*c) for corollary4, none for
-    lemma2/lemma3). Rows sort by (n, first element, check).
+    lemma2/lemma3). A witness record is a lemma3 pass, a witness_missing
+    record a lemma3 fail. Rows sort by (n, first element, check).
     """
     rows = []
     for obj in objs:
         kind = obj.get("record")
-        if kind not in ("gap_audit", "lemma2", "witness"):
+        if kind not in ("gap_audit", "lemma2", "witness", "witness_missing"):
             continue
         n = obj["n"]
         elems = elements_str(obj["elements"])
@@ -270,8 +271,8 @@ def audit_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
                 rows.append((n, first, elems, "corollary4", obj["corollary_margin"], verdicts["corollary4"]))
         elif kind == "lemma2":
             rows.append((n, first, elems, "lemma2", None, obj["verdict"]))
-        elif kind == "witness":
-            rows.append((n, first, elems, "lemma3", None, "pass"))
+        else:
+            rows.append((n, first, elems, "lemma3", None, "pass" if kind == "witness" else "fail"))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     return [(n, elems, check, margin, verdict)
             for n, _first, elems, check, margin, verdict in rows]
@@ -298,7 +299,7 @@ def render_csv(records: list[dict]) -> tuple[tuple, list[tuple]]:
         return SEARCH_CSV_HEADER, search_csv_rows(tuples)
     try:
         # an audit output ends in its audit_summary even when no check applied
-        if kinds <= {"gap_audit", "lemma2", "witness", "audit_summary"}:
+        if kinds <= {"gap_audit", "lemma2", "witness", "witness_missing", "audit_summary"}:
             return AUDIT_CSV_HEADER, audit_csv_rows(records)
         if kinds <= {"bound"}:
             return BOUNDS_CSV_HEADER, bounds_csv_rows(records)

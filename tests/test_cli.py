@@ -199,6 +199,33 @@ def test_audit_witness_miss_records_and_exits_one(tmp_path, capsys, monkeypatch)
     assert err == "no witness e for (1, 3, 8) with n=1\n"
 
 
+def test_report_csv_renders_a_witness_miss_as_a_lemma3_fail(tmp_path, capsys, monkeypatch):
+    import dntuple.cli as cli
+    from dntuple.audits import WitnessNotFoundError
+
+    real = cli.find_witness_e
+
+    def miss_on_1_3_8(triple):
+        if triple.elements == (1, 3, 8):
+            raise WitnessNotFoundError(triple)
+        return real(triple)
+
+    seed_path = tmp_path / "seed.jsonl"
+    audit_path = tmp_path / "audit.jsonl"
+    run_cli(capsys, "verify", "--n", "1", "--elements", "1,3,8,120", "--out", str(seed_path))
+    monkeypatch.setattr(cli, "find_witness_e", miss_on_1_3_8)
+    code, _, _ = run_cli(capsys, "audit", "--seed-corpus", str(seed_path),
+                         "--checks", "lemma3", "--out", str(audit_path))
+    assert code == 1
+    code, out, err = run_cli(capsys, "report", "--in", str(audit_path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["n,elements,check,margin,verdict",
+                                    "1,1+3+120,lemma3,,pass",
+                                    "1,1+3+8,lemma3,,fail",
+                                    "1,1+8+120,lemma3,,pass",
+                                    "1,3+8+120,lemma3,,pass"]
+
+
 def test_bounds_grid_cli(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--n-grid", "2,1000000",
                            "--eps-grid", "1,1/2")

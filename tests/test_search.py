@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import pathlib
+import select
 import subprocess
 import sys
 
@@ -204,8 +205,7 @@ def test_seed_blocks_cover_the_seeds_in_order():
             assert blocks[0][0] == 1 and blocks[-1][1] == limit + 1
             assert all(lo < hi for lo, hi in blocks)
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            assert len(blocks) <= (1 if jobs == 1 else
-                                   min(jobs * search.BLOCKS_PER_WORKER, search.MAX_BLOCKS))
+            assert len(blocks) <= min(jobs * search.BLOCKS_PER_WORKER, search.MAX_BLOCKS)
     # the small seeds, which root the most cliques, get the small blocks
     blocks = search.seed_blocks(10**6, 2)
     assert len(blocks) > search.BLOCKS_PER_WORKER
@@ -241,8 +241,29 @@ def test_sharded_capped_search_keeps_its_prefix(monkeypatch, jobs):
         assert report.result_cap_exceeded
         assert found_elements(report) == found_elements(full[n, limit, min_size, cap])[:cap]
         assert report_fields(report) == capped[n, limit, min_size, cap]
-        # stage 1 forked, stage 2 ran its seeds in one sequence
-        assert calls == [(jobs, len(search.seed_blocks(limit, jobs)))]
+        # both stages went to jobs workers over many blocks
+        assert calls == [(jobs, len(search.seed_blocks(limit, jobs)))] * 2
+        # the workers still busy past the cap were killed and reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_capped_search_in_one_process_stops_after_the_capping_block(monkeypatch):
+    # stage 1 reads every block; stage 2 stops at the block holding the cap
+    parts_read = []
+    fork_map = search.fork_map
+
+    def counting(fn, blocks, jobs):
+        parts_read.append(0)
+        for part in fork_map(fn, blocks, jobs):
+            parts_read[-1] += 1
+            yield part
+
+    monkeypatch.setattr(search, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(search, "fork_map", counting)
+    report = search_maximal(SearchConfig(n=9, limit=1500, min_report_size=4, max_results=1))
+    assert found_elements(report) == [(1, 7, 40, 216)]
+    assert parts_read[0] == len(search.seed_blocks(1500, 1)) > parts_read[1] == 1
 
 
 # (n, limit, min size, cap) -> nodes_visited, candidates_tested, empirical_max_size,
@@ -305,22 +326,80 @@ def test_failed_worker_fails_the_search(monkeypatch, capsys, name):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sharded_cli_output_is_written_once():
-    # stdout to a pipe is block buffered: a worker that flushed it on exit
-    # would repeat the line printed before the search
-    script = ("import sys\n"
-              "from dntuple import cli, search\n"
-              "if sys.argv[1] == 'forked':\n"
-              "    search.FORK_MIN_LIMIT = 1\n"
-              "    search.usable_cpus = lambda: 2\n"
-              "print('before')\n"
-              "sys.exit(cli.main(['search', '--n', '4', '--limit', '400', '--min-size', '2']))\n")
+def run_script(script, *args):
+    # a fresh interpreter that imports this checkout's dntuple
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    runs = [subprocess.run([sys.executable, "-c", script, mode], capture_output=True, env=env)
-            for mode in ("in-process", "forked")]
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=env)
+
+
+# the first lines of a script that shards its search when its argument is 'forked'
+FORCE_FORK = ("import sys\n"
+              "from dntuple import cli, search\n"
+              "if sys.argv[1] == 'forked':\n"
+              "    search.FORK_MIN_LIMIT = 1\n"
+              "    search.usable_cpus = lambda: 2\n")
+
+
+def test_sharded_cli_output_is_written_once():
+    # stdout to a pipe is block buffered: a worker that flushed it on exit
+    # would repeat the line printed before the search
+    script = FORCE_FORK + (
+        "print('before')\n"
+        "sys.exit(cli.main(['search', '--n', '4', '--limit', '400', '--min-size', '2']))\n")
+    runs = [run_script(script, mode) for mode in ("in-process", "forked")]
     assert [p.returncode for p in runs] == [0, 0]
     assert runs[0].stdout.startswith(b"before\n")
     assert runs[0].stdout.count(b"before") == 1
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_unforked_search_does_not_import_multiprocessing(tmp_path):
+    # the workers' connections cost an import that only a forked search pays
+    script = FORCE_FORK + (
+        "code = cli.main(['search', '--n', '4', '--limit', '400', '--out', sys.argv[2]])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
+    out = str(tmp_path / "s.jsonl")
+    assert run_script(script, "in-process", out).stdout == b"0 []\n"
+    forked = run_script(script, "forked", out).stdout
+    assert forked.startswith(b"0 [") and b"'multiprocessing.connection'" in forked
+
+
+# fork_map itself
+
+
+def test_fork_map_yields_in_block_order_when_later_blocks_finish_first():
+    # block 0 waits until block 3 is done, so its worker finishes last
+    blocks = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    done_3, signal_3 = os.pipe()
+
+    def fn(lo, hi):
+        if lo == 0:
+            return lo, bool(select.select([done_3], [], [], 30)[0])
+        if lo == 3:
+            os.write(signal_3, b"x")
+        return lo, True
+
+    try:
+        assert list(search.fork_map(fn, blocks, 2)) == [(0, True), (1, True), (2, True),
+                                                        (3, True)]
+    finally:
+        os.close(done_3)
+        os.close(signal_3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_worker_that_exits_without_reply_fails_the_map():
+    parent = os.getpid()
+
+    def fn(lo, hi):
+        if lo == 2 and os.getpid() != parent:
+            os._exit(0)
+        return lo
+
+    with pytest.raises(search.WorkerError, match="without block 2"):
+        list(search.fork_map(fn, [(k, k + 1) for k in range(6)], 2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
