@@ -1,33 +1,53 @@
 # Bounded exhaustive search for maximal D(n) tuples inside [1, limit].
 #
 # Two stages, the shape of the brute-force oracle (tests/naive_oracle.py).
-# Stage 1 walks each seed a once and stores its upper neighbours
+# Stage 1 stores each seed a's upper neighbours
 # {d in (a, limit] : a*d + n square} in a CSR: an int32 array of
-# neighbours and one of per-seed offsets. residues.walk steps
+# neighbours and one of per-seed offsets. The seeds a <= low, with
+# low = min(limit, max(limit // 4, |n|)), are walked: residues.walk steps
 # t = sqrt(a*d + n) through the classes of RootTable.roots(a), so every
 # step lands on a neighbour. a*d + n = t*t needs t*t = n (mod a), so a
 # seed without such a root has no neighbour: RootTable.solvable marks the
-# seeds that have one, by slice writes over the sieve's primes, and only
-# those are walked (52 187 of 300 000 for n = -2 at limit 3*10^5).
+# seeds up to low that have one, by slice writes over the sieve's primes,
+# and only those are walked (13 855 of 75 000 for n = -2 at limit
+# 3*10^5).
+# The seeds above low are never factored or walked. Their lists come from
+# regular extensions: if a*d + n = r*r, then e = a + d + 2r gives
+# a*e + n = (a + r)^2 and d*e + n = (d + r)^2. This is exact for d > low:
+# - a root r in [0, d) of x^2 = n (mod d) is either sqrt(n), or
+#   sqrt(a*d + n) for exactly one lower partner a = (r*r - n)/d, since
+#   d > |n| (r*r - n lies in (-d, d*d) and is a multiple of d);
+# - an upper partner e has sqrt(d*e + n) = r + j*d with j >= 1, and
+#   j >= 2 gives e > 4d - 1 >= limit, so each class holds at most one
+#   partner in range, at j = 1: e = a + d + 2r, or d + 2*sqrt(n);
+# - a lower partner a > low would give e > 4*low + 5 > limit, so every e
+#   in range comes from a pair (a, d) with a <= low, which the walks found.
+# So for each pair (a, d) with a <= low < d, the walk of a also emits its
+# extension e while e <= limit (e rises with d), and d's list gathers
+# these by a counting sort in seed order, after d + 2*sqrt(n) for a
+# square n: within one d, e rises with a, so each list is ascending.
 # Stage 2 grows cliques depth first, seeds ascending: the children of a
 # node through candidate d are d's stored upper neighbours among the
 # node's candidates. Children exceed the current maximum, so every tuple
-# is visited once, in lexicographic order. A seed with no upper neighbour
-# is a one-node leaf; when min_report > 1 it cannot be reported, so it is
-# counted where the seed loop reaches it, and a capped search that stops
-# early counts only the seeds before the stop.
+# is visited once, in lexicographic order, and the last candidate has no
+# children. A seed with no upper neighbour, and a child with no children
+# or one childless child, is counted without a descent when it cannot be
+# reported; a capped search that stops early counts only the seeds
+# before the stop.
 # A leaf has no common upper neighbour, so it is maximal iff no lower
 # neighbour of its top member is adjacent to all other members: one walk
 # of top's classes below top lists the lower neighbours, and
 # tuples.extenders, the filter extend() uses, looks for one adjacent to
-# the rest. candidates_tested counts the walks' outputs and the adjacency
-# entries read in stage 2.
+# the rest. candidates_tested counts the pairs and the adjacency entries
+# read in stage 2 (the lengths of the adjacency lists of a node's
+# candidates) and the lower neighbours the leaf walks list.
 #
 # Both stages run seed by seed, so both split over blocks of consecutive
-# seeds, and the blocks run in workers forked from the search, one per CPU
-# in the process's affinity mask (taskset narrows it). Stage 1 workers
-# return each block's neighbours and per-seed counts, spliced into the CSR
-# in block order; stage 2 workers inherit the CSR and the root table
+# seeds (stage 1 over [1, low], stage 2 over [1, limit]), and the blocks run
+# in workers forked from the search, one per CPU in the process's affinity
+# mask (taskset narrows it). Stage 1 workers return each block's
+# neighbours, per-seed counts and extensions, spliced into the CSR in
+# block order; stage 2 workers inherit the CSR and the root table
 # through the fork and return each block's element lists, each with the
 # counters as they stood when it was found, and the block's counters.
 # Block order is seed order, so the concatenated tuples are already
@@ -44,10 +64,12 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, pairwise
+from itertools import accumulate, chain, compress, pairwise, repeat
+from math import isqrt
 from typing import TYPE_CHECKING, NoReturn, TypeVar
 
 from .residues import RootTable, smallest_factor_sieve, walk
@@ -63,12 +85,15 @@ MAX_LIMIT = 10**7
 
 # below this limit a search runs in one process. Forking the workers of
 # both stages costs about 20 ms, and the first forked search in a process
-# about 15 ms more to import multiprocessing.connection. On 2 vCPUs (one process / forked, medians
-# of 11 fresh interpreters) n = -2 takes 16.6/29.0 ms at 10 000 and
-# 33.2/46.6 ms at 20 000 since stage 1 walks only the seeds with a root
-# (25.3/40.6 and 51.0/69.8 ms before), so a sparse n now breaks even above
-# 20 000; n = 4 at 6 000, min size 3, takes 228/243 ms. A lower floor
-# would fork such small searches for no gain, so it stays at 10 000
+# about 15 ms more to import multiprocessing.connection. On 2 vCPUs (one
+# process / forked, medians of 11 fresh interpreters), with stage 1
+# walking only the seeds up to max(limit // 4, |n|): at min size 4, n = -2
+# takes 20.9/57.8 ms at 10 000 and 40.5/80.5 ms at 20 000, and n = 4
+# 122/176 and 335/371 ms; at min size 3, where stage 2 does more, n = 4
+# takes 1101/573 and 2221/1322 ms. A higher floor would lose a dense n's
+# gain at the default min size; a lower one would also fork the report
+# pipeline's searches at 6 000 (n = 4, min size 3: 533/312 ms), which is
+# left to a change measured on its own. So the floor stays at 10 000
 FORK_MIN_LIMIT = 10_000
 
 # seed blocks per worker, so that a worker that drew heavy blocks is
@@ -136,36 +161,86 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     (a deterministic prefix, never a silent truncation); the whole pair
     graph is still built first, and the clique growth stops at the block
     of seeds that holds the last kept tuple.
+
+    Only the seeds a <= low = min(limit, max(limit // 4, |n|)) are
+    factored and walked. A seed d > low has d > |n| and 4d > limit, so
+    each root r of x^2 = n (mod d) is sqrt(n) or sqrt(a*d + n) for one
+    lower partner a, and its class holds at most one upper partner in
+    range, e = a + d + 2r; an a > low would put e above limit. So d's
+    upper neighbours are the regular extensions of its pairs with the
+    walked seeds, plus d + 2*sqrt(n) for a square n.
     """
     n, limit = config.n, config.limit
     min_report, max_results = config.min_report_size, config.max_results
     table = RootTable(n, smallest_factor_sieve(limit))
     roots = table.roots
+    # the seeds up to low are walked; the lists above it are their
+    # regular extensions (see the header)
+    low = min(limit, max(limit // 4, abs(n)))
     # a*d + n = r*r needs r*r = n (mod a): only seeds with a root have partners
-    live = table.solvable(limit)
+    live = table.solvable(low)
     jobs = usable_cpus() if limit >= FORK_MIN_LIMIT and hasattr(os, "fork") else 1
-    blocks = seed_blocks(limit, jobs)
 
-    def neighbours(lo: int, hi: int) -> tuple[array, array]:
-        # stage 1 on seeds [lo, hi): their upper neighbours, concatenated,
-        # and how many each seed has
-        chunk = array("i")
+    def neighbours(lo: int, hi: int) -> tuple[array, array, array, array]:
+        # stage 1 on seeds [lo, hi), all <= low: their upper neighbours,
+        # concatenated, and how many each seed has; then the regular
+        # extensions e <= limit of each seed's pairs (a, d) with d > low,
+        # which belong to its first partners above low, and how many
+        chunk, ext = array("i"), array("i")
         counts = array("i", [0]) * (hi - lo)
+        ext_counts = array("i", [0]) * (hi - lo)
         for a in compress(range(lo, hi), live[lo:hi]):
             up = walk(a, n, roots(a), a + 1, limit)
             chunk.extend(up)
             counts[a - lo] = len(up)
-        return chunk, counts
+            had = len(ext)
+            for d in up[bisect_right(up, low):]:
+                e = a + d + 2 * isqrt(a * d + n)
+                if e > limit:
+                    break  # e rises with d
+                ext.append(e)
+            ext_counts[a - lo] = len(ext) - had
+        return chunk, counts, ext, ext_counts
 
-    # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending
-    parts = fork_map(neighbours, blocks, jobs)
-    adj, counts = next(parts)
-    for more_adj, more_counts in parts:
-        adj.extend(more_adj)
-        counts.extend(more_counts)
-    start = array("i", [0])
-    start.extend(accumulate(counts, initial=0))
+    # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending; counts and
+    # ext_counts are indexed by seed
+    adj, counts, ext, ext_counts = array("i"), array("i", [0]), array("i"), array("i", [0])
+    for part in fork_map(neighbours, seed_blocks(low, jobs), jobs):
+        for whole, more in zip((adj, counts, ext, ext_counts), part):
+            whole.extend(more)
+    low_start = array("i", accumulate(counts, initial=0))  # start[a] for a <= low + 1
     del counts
+    # a square n = m*m puts d + 2m first in each list above low: its
+    # lower partner is 0
+    m = isqrt(n) if n > 0 else 0
+    square = m * m == n
+
+    def extended() -> Iterator[int]:
+        # the d of each list entry above low, in seed order: d + 2m, then
+        # for each e in ext a's next partner above low, up to ext_counts[a]
+        if square:
+            yield from range(low + 1, limit - 2 * m + 1)
+        for a in compress(range(low + 1), ext_counts):
+            i = bisect_right(adj, low, low_start[a], low_start[a + 1])
+            yield from adj[i:i + ext_counts[a]]
+
+    # the lists above low, by a counting sort
+    above = array("i", [0]) * (limit - low)  # above[d - low - 1] = len(up(d))
+    for d in extended():
+        above[d - low - 1] += 1
+    start = low_start[:-1]
+    start.extend(accumulate(above, initial=low_start[-1]))
+    del above
+    adj.extend(repeat(0, start[-1] - len(adj)))
+    square_es = range(low + 1 + 2 * m, limit + 1) if square else ()
+    for d, e in zip(extended(), chain(square_es, ext)):
+        i = start[d]  # where d's next entry goes
+        adj[i] = e
+        start[d] = i + 1
+    # each start[d] above low has moved on to start[d + 1]: shift them back
+    start.insert(low + 1, low_start[-1])
+    start.pop()
+    del ext, ext_counts, low_start
 
     def grow(lo: int, hi: int) -> tuple[list, int, int, int]:
         # stage 2 on seeds [lo, hi): the reported tuples, each as its
@@ -174,15 +249,15 @@ def search_maximal(config: SearchConfig) -> SearchReport:
         found: list[tuple[tuple[int, ...], int, int, int]] = []
         best = nodes = cands = 0
 
-        def has_left_extension(stack: list[int], members: set[int]) -> bool:
+        def has_left_extension(stack: list[int]) -> bool:
             # only lower neighbours of top can extend a leaf (see above)
             nonlocal cands
             top = stack[-1]
             below = walk(top, n, roots(top), 1, top - 1)
             cands += len(below)
-            return next(extenders(below, members, stack[-2::-1], n), None) is not None
+            return next(extenders(below, set(stack), stack[-2::-1], n), None) is not None
 
-        def explore(stack: list[int], members: set[int], kids: array | list[int]) -> None:
+        def explore(stack: list[int], kids: array | list[int]) -> None:
             nonlocal best, nodes, cands
             nodes += 1
             size = len(stack)
@@ -190,23 +265,32 @@ def search_maximal(config: SearchConfig) -> SearchReport:
                 best = size
             if kids:
                 pool = set(kids)
+                last = kids[-1]
                 next_size = size + 1
                 for d in kids:
-                    up = adj[start[d]:start[d + 1]]
-                    cands += len(up)
-                    grand = [k for k in up if k in pool]
-                    if not grand and next_size < min_report:
-                        # childless and unreportable, no need to descend
-                        nodes += 1
-                        if next_size > best:
-                            best = next_size
-                        continue
+                    i, j = start[d], start[d + 1]
+                    cands += j - i
+                    # up(d) lies above d, so the last kid has no children
+                    grand = [k for k in adj[i:j] if k in pool] if d != last else []
+                    if next_size < min_report:
+                        # unreportable: count a childless kid, and a kid
+                        # with one (childless) grandchild, without descending
+                        if not grand:
+                            nodes += 1
+                            if next_size > best:
+                                best = next_size
+                            continue
+                        if len(grand) == 1 and next_size + 1 < min_report:
+                            g = grand[0]
+                            cands += start[g + 1] - start[g]
+                            nodes += 2
+                            if next_size + 1 > best:
+                                best = next_size + 1
+                            continue
                     stack.append(d)
-                    members.add(d)
-                    explore(stack, members, grand)
-                    members.discard(d)
+                    explore(stack, grand)
                     stack.pop()
-            elif size >= min_report and not has_left_extension(stack, members):
+            elif size >= min_report and not has_left_extension(stack):
                 found.append((tuple(stack), best, nodes, cands))
 
         for a in range(lo, hi):
@@ -215,13 +299,13 @@ def search_maximal(config: SearchConfig) -> SearchReport:
                 nodes += 1
                 best = best or 1
                 continue
-            explore([a], {a}, adj[start[a]:start[a + 1]])
+            explore([a], adj[start[a]:start[a + 1]])
         return found, best, nodes, cands
 
     # stage 2: cliques seed by seed, read in block order up to the cap
     report = SearchReport(config=config, candidates_tested=len(adj))
     tuples = report.maximal_tuples
-    with closing(fork_map(grow, blocks, jobs)) as parts:
+    with closing(fork_map(grow, seed_blocks(limit, jobs), jobs)) as parts:
         for found, best, nodes, cands in parts:
             for els, *upto in found:
                 tuples.append(verify(els, n))

@@ -278,6 +278,23 @@ def audit_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
             for n, _first, elems, check, margin, verdict in rows]
 
 
+def verify_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
+    """Flatten dtuple and verification_failure records to audit-shaped verify rows.
+
+    The verdict, pass or fail, comes from running verify() again,
+    whatever the record claims. Rows sort by (n, elements).
+    """
+    rows = []
+    for obj in objs:
+        if obj.get("record") in ("dtuple", "verification_failure"):
+            n, elements = tuple_fields(obj)
+            ok = not isinstance(verify(elements, n), VerificationFailure)
+            rows.append((n, elements, "pass" if ok else "fail"))
+    rows.sort()
+    return [(n, elements_str(elements), "verify", None, verdict)
+            for n, elements, verdict in rows]
+
+
 def bounds_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
     rows = []
     for obj in objs:
@@ -292,7 +309,7 @@ def bounds_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
 
 
 def render_csv(records: list[dict]) -> tuple[tuple, list[tuple]]:
-    """Choose the CSV shape matching a record stream (search, audit or bounds)."""
+    """Choose the CSV shape matching a record stream (search, audit, bounds or failed verify)."""
     kinds = {obj.get("record") for obj in records} - {"manifest"}
     if kinds <= {"dtuple", "search_summary"}:
         tuples = tuples_from_records(records)
@@ -303,6 +320,9 @@ def render_csv(records: list[dict]) -> tuple[tuple, list[tuple]]:
             return AUDIT_CSV_HEADER, audit_csv_rows(records)
         if kinds <= {"bound"}:
             return BOUNDS_CSV_HEADER, bounds_csv_rows(records)
+        # a verify output that holds a failure: one verify row per tuple
+        if kinds <= {"dtuple", "verification_failure"}:
+            return AUDIT_CSV_HEADER, verify_csv_rows(records)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputError(f"malformed record: {exc!r}") from exc
     raise InputError(f"mixed or unknown record kinds, cannot shape a table: {sorted(kinds)}")

@@ -226,6 +226,26 @@ def test_report_csv_renders_a_witness_miss_as_a_lemma3_fail(tmp_path, capsys, mo
                                     "1,3+8+120,lemma3,,pass"]
 
 
+def test_report_csv_renders_a_verification_failure_as_a_verify_fail(tmp_path, capsys):
+    search_path = tmp_path / "search.jsonl"
+    verify_path = tmp_path / "verify.jsonl"
+    run_cli(capsys, "search", "--n", "1", "--limit", "16", "--out", str(search_path))
+    text = search_path.read_text(encoding="utf-8")
+    assert '"elements":[1,8,15]' in text
+    search_path.write_text(text.replace('"elements":[1,8,15]', '"elements":[1,8,14]'),
+                           encoding="utf-8")
+    code, _, _ = run_cli(capsys, "verify", "--from-search", str(search_path),
+                         "--out", str(verify_path))
+    assert code == 1
+    code, out, err = run_cli(capsys, "report", "--in", str(verify_path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["n,elements,check,margin,verdict",
+                                    "1,1+3+8,verify,,pass",
+                                    "1,1+8+14,verify,,fail",
+                                    "1,2+4+12,verify,,pass",
+                                    "1,3+5+16,verify,,pass"]
+
+
 def test_bounds_grid_cli(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--n-grid", "2,1000000",
                            "--eps-grid", "1,1/2")

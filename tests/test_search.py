@@ -141,6 +141,17 @@ def test_nodes_visited_counts_every_clique(n):
         assert report.nodes_visited == want, (n, min_size)
 
 
+@pytest.mark.parametrize("n", [sign * n for n in range(11, 31) for sign in (1, -1)] + [49])
+def test_equals_oracle_around_the_walked_seeds_floor(n):
+    # stage 1 walks the seeds up to max(limit // 4, |n|), which is |n| at
+    # these limits; the lists above it are regular extensions, and the
+    # square n (16, 25, 49) also give d + 2*sqrt(n)
+    for limit in (3 * abs(n), 4 * abs(n) - 1, 4 * abs(n), 4 * abs(n) + 3):
+        report = search_maximal(SearchConfig(n=n, limit=limit, min_report_size=1))
+        assert found_elements(report) == naive_maximal(n, limit, 1), (n, limit)
+        assert report.nodes_visited == count_cliques(n, limit), (n, limit)
+
+
 def test_empirical_max_size_tracks_sub_threshold_nodes():
     # no quadruple below 200 for n = 2, but pairs and triples abound
     report = search_maximal(SearchConfig(n=2, limit=200, min_report_size=4))
@@ -193,6 +204,11 @@ def force_workers(monkeypatch, jobs):
     return calls
 
 
+def walked(n, limit):
+    # the seeds that stage 1 walks: [1, low]
+    return min(limit, max(limit // 4, abs(n)))
+
+
 def report_fields(report):
     return ([(t.elements, t.witnesses) for t in report.maximal_tuples], report.nodes_visited,
             report.candidates_tested, report.empirical_max_size, report.result_cap_exceeded)
@@ -221,8 +237,10 @@ def test_sharded_search_equals_in_process(monkeypatch, jobs):
     for config, fields in zip(configs, want):
         calls.clear()
         assert report_fields(search_maximal(config)) == fields, config
-        # both stages went to jobs workers over many blocks
-        assert calls == [(jobs, len(search.seed_blocks(300, jobs)))] * 2
+        # both stages went to jobs workers over many blocks, stage 1 over
+        # the walked seeds only
+        assert calls == [(jobs, len(search.seed_blocks(walked(config.n, 300), jobs))),
+                         (jobs, len(search.seed_blocks(300, jobs)))]
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -242,7 +260,8 @@ def test_sharded_capped_search_keeps_its_prefix(monkeypatch, jobs):
         assert found_elements(report) == found_elements(full[n, limit, min_size, cap])[:cap]
         assert report_fields(report) == capped[n, limit, min_size, cap]
         # both stages went to jobs workers over many blocks
-        assert calls == [(jobs, len(search.seed_blocks(limit, jobs)))] * 2
+        assert calls == [(jobs, len(search.seed_blocks(walked(n, limit), jobs))),
+                         (jobs, len(search.seed_blocks(limit, jobs)))]
         # the workers still busy past the cap were killed and reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -263,7 +282,7 @@ def test_capped_search_in_one_process_stops_after_the_capping_block(monkeypatch)
     monkeypatch.setattr(search, "fork_map", counting)
     report = search_maximal(SearchConfig(n=9, limit=1500, min_report_size=4, max_results=1))
     assert found_elements(report) == [(1, 7, 40, 216)]
-    assert parts_read[0] == len(search.seed_blocks(1500, 1)) > parts_read[1] == 1
+    assert parts_read[0] == len(search.seed_blocks(walked(9, 1500), 1)) > parts_read[1] == 1
 
 
 # (n, limit, min size, cap) -> nodes_visited, candidates_tested, empirical_max_size,
