@@ -45,9 +45,11 @@
 # Both stages run seed by seed, so both split over blocks of consecutive
 # seeds (stage 1 over [1, low], stage 2 over [1, limit]), and the blocks run
 # in workers forked from the search, one per CPU in the process's affinity
-# mask (taskset narrows it). Stage 1 workers return each block's
-# neighbours, per-seed counts and extensions, spliced into the CSR in
-# block order; stage 2 workers inherit the CSR and the root table
+# mask (taskset narrows it). Worker w runs blocks w, w + jobs, w + 2*jobs,
+# ... and writes each block's result, pickled whole, to its own pipe; the
+# parent reads block i from worker i % jobs. Stage 1 workers return each
+# block's neighbours, per-seed counts and extensions, spliced into the CSR
+# in block order; stage 2 workers inherit the CSR and the root table
 # through the fork and return each block's element lists, each with the
 # counters as they stood when it was found, and the block's counters.
 # Block order is seed order, so the concatenated tuples are already
@@ -62,7 +64,6 @@
 from __future__ import annotations
 
 import os
-import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
@@ -70,13 +71,10 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, pairwise, repeat
 from math import isqrt
-from typing import TYPE_CHECKING, NoReturn, TypeVar
+from typing import BinaryIO, NoReturn, TypeVar
 
 from .residues import RootTable, smallest_factor_sieve, walk
 from .tuples import DTuple, InputError, ZeroNError, extenders, verify
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
 
 T = TypeVar("T")
 
@@ -84,25 +82,21 @@ T = TypeVar("T")
 MAX_LIMIT = 10**7
 
 # below this limit a search runs in one process. Forking the workers of
-# both stages costs about 20 ms, and the first forked search in a process
-# about 15 ms more to import multiprocessing.connection. On 2 vCPUs (one
-# process / forked, medians of 11 fresh interpreters), with stage 1
-# walking only the seeds up to max(limit // 4, |n|): at min size 4, n = -2
-# takes 20.9/57.8 ms at 10 000 and 40.5/80.5 ms at 20 000, and n = 4
-# 122/176 and 335/371 ms; at min size 3, where stage 2 does more, n = 4
-# takes 1101/573 and 2221/1322 ms. A higher floor would lose a dense n's
-# gain at the default min size; a lower one would also fork the report
-# pipeline's searches at 6 000 (n = 4, min size 3: 533/312 ms), which is
-# left to a change measured on its own. So the floor stays at 10 000
+# both stages costs about 20 ms. On 2 vCPUs (one process / forked, medians
+# of 11 fresh interpreters), with stage 1 walking only the seeds up to
+# max(limit // 4, |n|): at min size 4, n = -2 takes 20.9/57.8 ms at 10 000
+# and 40.5/80.5 ms at 20 000, and n = 4 122/176 and 335/371 ms; at min
+# size 3, where stage 2 does more, n = 4 takes 1101/573 and 2221/1322 ms.
+# A higher floor would lose a dense n's gain at the default min size; a
+# lower one would also fork the report pipeline's searches at 6 000
+# (n = 4, min size 3: 533/312 ms), which is left to a change measured on
+# its own. So the floor stays at 10 000
 FORK_MIN_LIMIT = 10_000
 
-# seed blocks per worker, so that a worker that drew heavy blocks is
-# balanced by the others drawing more light ones
+# seed blocks per worker. The cubic spacing of seed_blocks gives each
+# block about an even share of the work, and worker w takes every jobs-th
+# block from w on, so each worker's blocks sample the whole seed range
 BLOCKS_PER_WORKER = 64
-
-# at most this many blocks: their 4-byte indices must fit in a pipe's
-# smallest buffer, one page, before any worker reads them
-MAX_BLOCKS = 1024
 
 
 class WorkerError(RuntimeError):
@@ -332,13 +326,12 @@ def usable_cpus() -> int:
 def seed_blocks(limit: int, jobs: int) -> list[tuple[int, int]]:
     """[lo, hi) ranges of consecutive seeds that cover [1, limit], ascending.
 
-    Up to BLOCKS_PER_WORKER per worker, capped at MAX_BLOCKS, even for
-    one process, so that a capped search stops after few blocks. The k-th
-    of K blocks ends near limit * (k/K)^3: a small seed roots far more
-    cliques than a large one, so the blocks hold about even shares of the
-    clique growth.
+    Up to BLOCKS_PER_WORKER per worker, even for one process, so that a
+    capped search stops after few blocks. The k-th of K blocks ends near
+    limit * (k/K)^3: a small seed roots far more cliques than a large one,
+    so the blocks hold about even shares of the clique growth.
     """
-    count = min(jobs * BLOCKS_PER_WORKER, MAX_BLOCKS)
+    count = jobs * BLOCKS_PER_WORKER
     ends = dict.fromkeys(1 + limit * k**3 // count**3 for k in range(count + 1))
     return list(pairwise(ends))
 
@@ -349,83 +342,79 @@ def fork_map(fn: Callable[[int, int], T], blocks: list[tuple[int, int]],
 
     fn runs in a child forked from this process, so it sees this
     process's data as it was at the fork, and it returns a picklable
-    value. The workers draw block indices from one shared pipe and send
-    each result back on their own connection; results are yielded in
-    block order, each held only until its turn. The children end with
-    os._exit, so they never run this process's exit handlers or flush its
-    buffers. If a worker fails, the iteration raises WorkerError; on any
-    exit, closing the iterator early included, every worker is killed if
-    still running and reaped.
+    value. Worker w runs blocks w, w + jobs, w + 2*jobs, ... in turn and
+    writes each result, pickled whole, to its own pipe; this process
+    reads block i from worker i % jobs, so results come in block order
+    and a worker waits only for this process to read. The children end
+    with os._exit, so they never run this process's exit handlers or
+    flush its buffers. If a worker fails, or cannot be forked, the
+    iteration raises WorkerError; on any exit, closing the iterator early
+    included, every worker is killed if still running and reaped.
     """
     jobs = min(jobs, len(blocks))
     if jobs == 1:
         for lo, hi in blocks:
             yield fn(lo, hi)
         return
-    import signal  # only a forked run pays for these imports
-    from multiprocessing.connection import Pipe, wait
+    import pickle  # only a forked run pays for these imports
+    import signal
 
-    queue, queue_in = os.pipe()
-    os.write(queue_in, array("i", range(len(blocks))).tobytes())
-    os.close(queue_in)  # an empty queue now reads as end of file
     pids: list[int] = []
-    replies: list[Connection] = []
+    replies: list[BinaryIO] = []
     try:
-        for _ in range(jobs):
-            reply, reply_in = Pipe(duplex=False)
-            replies.append(reply)
+        for w in range(jobs):
+            reply, reply_in = os.pipe()
+            replies.append(open(reply, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    reply.close()
-                    _serve(fn, blocks, queue, reply_in)
+                    _serve(fn, blocks[w::jobs], reply_in, replies)
+            except OSError as exc:  # EAGAIN: no room for another process
+                raise WorkerError(f"cannot fork a search worker: {exc}") from exc
             finally:
-                reply_in.close()  # in this process only: _serve never returns
+                os.close(reply_in)  # in this process only: _serve never returns
             pids.append(pid)
-        done: dict[int, T] = {}  # results that arrived before their turn
-        live = list(replies)
         for i in range(len(blocks)):
-            while i not in done:
-                if not live:
-                    raise WorkerError(f"search workers ended without block {i}")
-                for reply in wait(live):
-                    try:
-                        j, ok, value = reply.recv()
-                    except (EOFError, OSError):  # the worker ended, perhaps mid-message
-                        live.remove(reply)
-                        continue
-                    if not ok:
-                        raise WorkerError(f"search worker failed: {value}")
-                    done[j] = value
-            yield done.pop(i)
+            try:
+                ok, value = pickle.load(replies[i % jobs])
+            except (EOFError, OSError, pickle.UnpicklingError) as exc:  # perhaps mid-reply
+                raise WorkerError(f"a search worker ended without block {i}") from exc
+            if not ok:
+                raise WorkerError(f"search worker failed: {value}")
+            yield value
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(queue)
         for reply in replies:
             reply.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
 
-def _serve(fn: Callable[[int, int], object], blocks: list[tuple[int, int]], queue: int,
-           reply: Connection) -> NoReturn:
-    # a worker's whole life: run the blocks it draws, send each result (or
-    # the failure) back, and exit without unwinding into the parent's code
+def _serve(fn: Callable[[int, int], object], blocks: list[tuple[int, int]], reply: int,
+           inherited: list[BinaryIO]) -> NoReturn:
+    # a worker's whole life: run its blocks in turn, write each result (or
+    # the failure) to its pipe as one whole pickle, and exit without
+    # unwinding into the parent's code
+    import pickle
+
     status = 1
     try:
-        while index := os.read(queue, 4):
-            i = int.from_bytes(index, sys.byteorder)
-            lo, hi = blocks[i]
-            reply.send((i, True, fn(lo, hi)))
+        for other in inherited:
+            other.close()  # the parent's ends of the pipes
+        out = open(reply, "wb")
+        for lo, hi in blocks:
+            out.write(pickle.dumps((True, fn(lo, hi))))
+            out.flush()
         status = 0
     except BaseException as exc:
         import traceback
 
         where = traceback.extract_tb(exc.__traceback__)[-1]
-        reply.send((-1, False, f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"))
+        failure = f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"
+        os.write(reply, pickle.dumps((False, failure)))  # out was flushed after its last reply
     finally:
         os._exit(status)
 

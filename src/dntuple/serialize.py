@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Mapping, NoReturn, Sequence, TextIO
 
 from .audits import GapAuditRecord, Lemma2Verdict, LemmaThreeWitness
 from .bounds import BoundReport
@@ -180,15 +180,23 @@ def write_jsonl(stream: TextIO, objs: Iterable[Mapping[str, Any]],
         stream.write(canonical_json(obj) + "\n")
 
 
+# canonical JSON never holds NaN or an infinity, which json.loads takes
+def _refuse_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not valid JSON")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_jsonl(stream: TextIO) -> list[dict]:
     out = []
     for line_no, line in enumerate(stream, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an int past 4 300 digits
+        try:  # RecursionError: nesting past the recursion limit
+            obj = _DECODER.decode(line)
+        except (ValueError, RecursionError) as exc:  # or an int past 4 300 digits
             raise InputError(f"line {line_no}: not a JSON record: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"line {line_no}: expected an object record")

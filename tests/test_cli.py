@@ -349,6 +349,28 @@ def test_malformed_record_exits_two(tmp_path, capsys, command, record):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# what canonical JSON never holds, though Python's json module reads it:
+# constants that are not JSON, and nesting past the recursion limit
+NON_JSON_LINES = {
+    "nan": b'{"record":"dtuple","n":1,"elements":[1,3],"x":NaN}',
+    "infinity": b'{"record":"search_summary","n":Infinity}',
+    "minus-infinity": b'{"record":"dtuple","n":-Infinity,"elements":[1,3]}',
+    "nested": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", [["report", "--format", "json-lines", "--in"],
+                                     ["verify", "--from-search"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("line", NON_JSON_LINES.values(), ids=NON_JSON_LINES)
+def test_non_json_line_exits_two(tmp_path, capsys, command, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(line + b"\n")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: not a JSON record: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["verify", "--from-search"], ["audit", "--from-search"]])
 def test_from_search_refuses_a_file_without_search_records(tmp_path, capsys, command):
     bounds = tmp_path / "bounds.jsonl"

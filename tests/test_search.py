@@ -1,11 +1,14 @@
+import errno
 import hashlib
 import itertools
 import math
 import os
 import pathlib
 import select
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,7 +224,7 @@ def test_seed_blocks_cover_the_seeds_in_order():
             assert blocks[0][0] == 1 and blocks[-1][1] == limit + 1
             assert all(lo < hi for lo, hi in blocks)
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            assert len(blocks) <= min(jobs * search.BLOCKS_PER_WORKER, search.MAX_BLOCKS)
+            assert len(blocks) <= jobs * search.BLOCKS_PER_WORKER
     # the small seeds, which root the most cliques, get the small blocks
     blocks = search.seed_blocks(10**6, 2)
     assert len(blocks) > search.BLOCKS_PER_WORKER
@@ -374,15 +377,14 @@ def test_sharded_cli_output_is_written_once():
     assert runs[1].stdout == runs[0].stdout
 
 
-def test_unforked_search_does_not_import_multiprocessing(tmp_path):
-    # the workers' connections cost an import that only a forked search pays
+def test_search_does_not_import_multiprocessing(tmp_path):
+    # the workers reply through plain pipes, forked or not
     script = FORCE_FORK + (
         "code = cli.main(['search', '--n', '4', '--limit', '400', '--out', sys.argv[2]])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n")
     out = str(tmp_path / "s.jsonl")
     assert run_script(script, "in-process", out).stdout == b"0 []\n"
-    forked = run_script(script, "forked", out).stdout
-    assert forked.startswith(b"0 [") and b"'multiprocessing.connection'" in forked
+    assert run_script(script, "forked", out).stdout == b"0 []\n"
 
 
 # fork_map itself
@@ -420,5 +422,65 @@ def test_fork_map_worker_that_exits_without_reply_fails_the_map():
 
     with pytest.raises(search.WorkerError, match="without block 2"):
         list(search.fork_map(fn, [(k, k + 1) for k in range(6)], 2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_worker_killed_mid_reply_fails_the_map():
+    # block 1's reply outgrows the pipe buffer, so its worker is still
+    # writing it when block 0's worker kills it
+    pid_out, pid_in = os.pipe()
+
+    def fn(lo, hi):
+        if lo == 0:
+            victim = int(os.read(pid_out, 32))
+            time.sleep(0.2)
+            os.kill(victim, signal.SIGKILL)
+            return b""
+        os.write(pid_in, str(os.getpid()).encode())
+        return bytes(1 << 20)
+
+    try:
+        with pytest.raises(search.WorkerError, match="without block 1"):
+            list(search.fork_map(fn, [(0, 1), (1, 2)], 2))
+    finally:
+        os.close(pid_out)
+        os.close(pid_in)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_unpicklable_result_fails_the_map():
+    def fn(lo, hi):
+        return (k for k in range(lo, hi))
+
+    with pytest.raises(search.WorkerError, match="cannot pickle 'generator' object"):
+        list(search.fork_map(fn, [(0, 1), (1, 2), (2, 3)], 2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_fails_the_search(monkeypatch, capsys):
+    # every second fork fails, as when the system is out of processes: the
+    # worker already forked is killed and reaped, and the CLI exits 3
+    real_fork = os.fork
+    calls = itertools.count(1)
+
+    def fork():
+        if next(calls) % 2 == 0:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(search.WorkerError, match="cannot fork a search worker"):
+        search_maximal(SearchConfig(n=4, limit=300, min_report_size=3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    capsys.readouterr()
+    assert cli.main(["search", "--n", "4", "--limit", "300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: WorkerError(") and "cannot fork" in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
