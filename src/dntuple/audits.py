@@ -1,7 +1,8 @@
 """Exact audits of the classical gap and growth facts behind the bounds.
 
 Every check here runs on concrete verified tuples and decides with integer
-or rational arithmetic only. The audits cannot prove anything; they exist
+or rational arithmetic only; the triple witness is built from the pair
+roots the tuple carries. The audits cannot prove anything; they exist
 to catch defects in our own arithmetic (a genuine verified quadruple that
 fails a proven inequality means the artifact is wrong, not the theorem).
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import pow_compare, square_root_if_square
+from .exact import pow_compare
 from .tuples import DTuple, InputError
 
 # gap thresholds, kept rational so no verdict touches a float
@@ -48,18 +49,16 @@ class LemmaThreeWitness:
     satisfies, exactly:
 
         a*e + n^2 = x^2,  b*e + n^2 = y^2,  c*e + n^2 = z^2
-        n^2*c = n^2*(a+b) + n*e + 2*(a*b*e + r*(sign_x*x)*(sign_y*y))
+        n^2*c = n^2*(a+b) + n*e + 2*(a*b*e + r*x*y)
 
-    x, y, z are the nonnegative roots; the sign bits record which signed
-    combination makes the second identity close.
+    x, y, z are nonnegative; find_witness_e builds them from the pair roots
+    verify() stored, and says why r*x*y needs no sign.
     """
 
     e: int
     x: int
     y: int
     z: int
-    sign_x: int
-    sign_y: int
 
     def satisfies(self, triple: DTuple) -> bool:
         """Re-derive all four equations from scratch against the triple."""
@@ -73,8 +72,7 @@ class LemmaThreeWitness:
         if self.z * self.z != c * self.e + n2:
             return False
         r = triple.witness_for(a, b).r
-        rxy = r * (self.sign_x * self.x) * (self.sign_y * self.y)
-        return n2 * c == n2 * (a + b) + n * self.e + 2 * (a * b * self.e + rxy)
+        return n2 * c == n2 * (a + b) + n * self.e + 2 * (a * b * self.e + r * self.x * self.y)
 
 
 @dataclass(frozen=True)
@@ -98,67 +96,39 @@ class Lemma2Verdict(enum.Enum):
     FAIL = "fail"
 
 
-def _triple_context(triple: DTuple) -> tuple[int, int, int, int, int, int, int]:
-    if triple.size != 3:
-        raise InputError(f"witness search takes exactly three elements, got {triple.size}")
-    a, b, c = triple.elements
-    r = triple.witness_for(a, b).r
-    s = triple.witness_for(a, c).r
-    t = triple.witness_for(b, c).r
-    return a, b, c, r, s, t, triple.n
-
-
-def _witness_at(
-    e: int, a: int, b: int, c: int, r: int, n: int
-) -> LemmaThreeWitness | None:
-    # all three shifted products must be perfect squares before the
-    # identity is worth checking
-    n2 = n * n
-    va = a * e + n2
-    if va < 0:
-        return None
-    x = square_root_if_square(va)
-    if x is None:
-        return None
-    y = square_root_if_square(b * e + n2)
-    if y is None:
-        return None
-    z = square_root_if_square(c * e + n2)
-    if z is None:
-        return None
-    target = n2 * c
-    base = n2 * (a + b) + n * e + 2 * a * b * e
-    for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        if base + 2 * r * (sx * x) * (sy * y) == target:
-            return LemmaThreeWitness(e=e, x=x, y=y, z=z, sign_x=sx, sign_y=sy)
-    return None
-
-
 def find_witness_e(triple: DTuple, search_bound: None = None) -> LemmaThreeWitness:
-    """Find integers (e, x, y, z) witnessing the triple identity.
+    """The witness (e, x, y, z) of the triple identity, from the stored roots.
 
-    With r^2 = a*b + n, s^2 = a*c + n and t^2 = b*c + n, the extension
-    value e0 = n*(a+b+c) + 2*a*b*c - 2*r*s*t gives
+    With r^2 = a*b + n, s^2 = a*c + n and t^2 = b*c + n the pair roots
+    verify() found, the extension value e0 = n*(a+b+c) + 2*a*b*c - 2*r*s*t
+    gives
 
         a*e0 + n^2 = (a*t - r*s)^2
         b*e0 + n^2 = (b*s - r*t)^2
         c*e0 + n^2 = (c*r - s*t)^2
 
-    and with x = a*t - r*s, y = b*s - r*t the closing identity reduces to
-    2*r*s*t*(r^2 - a*b - n) = 0. So e0 is a witness of every verified
-    triple and no other e needs trying. It is still a hint, never trusted:
-    it only wins if the substitution checks pass exactly, and a miss
-    raises WitnessNotFoundError.
+    For a < b < c, a^2*t^2 - r^2*s^2 = n*(a^2 - a*b - a*c - n) and
+    b^2*s^2 - r^2*t^2 = n*(b^2 - a*b - b*c - n), and both brackets are
+    negative, so a*t - r*s and b*s - r*t share the sign of -n and their
+    product is x*y with x, y, z the absolute values. The closing identity
+    then reduces to 2*r*s*t*(r^2 - a*b - n) = 0. So e0 is a witness of
+    every verified triple and no other e needs trying. It is still a hint,
+    never trusted: it only wins if satisfies() passes, and a miss raises
+    WitnessNotFoundError.
 
     search_bound takes only None: perfbench's tracer still passes it
     positionally.
     """
     if search_bound is not None:
         raise InputError(f"search_bound takes only None, got {search_bound}")
-    a, b, c, r, s, t, n = _triple_context(triple)
+    if triple.size != 3:
+        raise InputError(f"witness search takes exactly three elements, got {triple.size}")
+    n = triple.n
+    a, b, c = triple.elements
+    r, s, t = (w.r for w in triple.witnesses)  # stored in (a, b) order: ab, ac, bc
     e0 = n * (a + b + c) + 2 * a * b * c - 2 * r * s * t
-    found = _witness_at(e0, a, b, c, r, n)
-    if found is None:
+    found = LemmaThreeWitness(e0, abs(a * t - r * s), abs(b * s - r * t), abs(c * r - s * t))
+    if not found.satisfies(triple):
         raise WitnessNotFoundError(triple)
     return found
 

@@ -50,7 +50,7 @@ from .serialize import (
     write_csv,
     write_jsonl,
 )
-from .tuples import DTuple, InputError, VerificationFailure, extend, verify
+from .tuples import InputError, VerificationFailure, extend, verify
 
 _CHECKS = ("lemma5", "corollary4", "lemma2", "lemma3")
 
@@ -75,6 +75,8 @@ def _eps_grid_arg(s: str) -> tuple[Fraction, ...]:
 
 def _checks_arg(s: str) -> tuple[str, ...]:
     requested = [part.strip() for part in s.split(",") if part.strip()]
+    if not requested:
+        raise argparse.ArgumentTypeError("expected at least one check")
     bad = [c for c in requested if c not in _CHECKS]
     if bad:
         raise argparse.ArgumentTypeError(
@@ -248,8 +250,7 @@ def cmd_audit(args) -> int:
     for t in tuples:
         if gap_checks or "lemma2" in args.checks:
             for quad_elems in itertools.combinations(t.elements, 4):
-                quad = verify(quad_elems, t.n)
-                assert isinstance(quad, DTuple)  # subsets of a verified tuple
+                quad = t.subtuple(quad_elems)
                 for check in gap_checks:
                     op = audit_gap_lemma5 if check == "lemma5" else audit_gap_corollary
                     try:
@@ -270,8 +271,7 @@ def cmd_audit(args) -> int:
                     objs.append(lemma2_to_obj(quad, verdict))
         if "lemma3" in args.checks:
             for tri_elems in itertools.combinations(t.elements, 3):
-                tri = verify(tri_elems, t.n)
-                assert isinstance(tri, DTuple)
+                tri = t.subtuple(tri_elems)
                 try:
                     w = find_witness_e(tri)
                 except WitnessNotFoundError:

@@ -11,9 +11,10 @@ must not assume 64-bit range.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, NoReturn, Sequence, TextIO
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from .audits import GapAuditRecord, Lemma2Verdict, LemmaThreeWitness
 from .bounds import BoundReport
@@ -24,7 +25,8 @@ ARTIFACT_VERSION = "0.1.0"
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=False)
 
 
 def fraction_str(f: Fraction) -> str:
@@ -101,8 +103,9 @@ def witness_to_obj(triple: DTuple, w: LemmaThreeWitness) -> dict:
         "x": w.x,
         "y": w.y,
         "z": w.z,
-        "sign_x": w.sign_x,
-        "sign_y": w.sign_y,
+        # only (+1, +1) closes (find_witness_e); kept until a version bump
+        "sign_x": 1,
+        "sign_y": 1,
     }
 
 
@@ -180,12 +183,29 @@ def write_jsonl(stream: TextIO, objs: Iterable[Mapping[str, Any]],
         stream.write(canonical_json(obj) + "\n")
 
 
-# canonical JSON never holds NaN or an infinity, which json.loads takes
-def _refuse_constant(name: str) -> NoReturn:
-    raise ValueError(f"{name} is not valid JSON")
+# canonical JSON never holds NaN or an infinity, which json.loads takes,
+# either as a token or as a number that overflows a float (1e400)
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token[:32]} is not a finite number")
+    return value
 
 
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+
+# no record written here nests deeper than a list of lists in an object;
+# one nested just short of the recursion limit reads, yet cannot be
+# written back, since encoding recurses as deep with more frames below
+_MAX_NESTING = 16
+
+
+def _nests_deeper(obj: Any, depth: int) -> bool:
+    level = [obj]
+    for _ in range(depth):
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)
+                 if isinstance(v, (dict, list))]
+    return bool(level)
 
 
 def read_jsonl(stream: TextIO) -> list[dict]:
@@ -200,6 +220,12 @@ def read_jsonl(stream: TextIO) -> list[dict]:
             raise InputError(f"line {line_no}: not a JSON record: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"line {line_no}: expected an object record")
+        if not isinstance(obj.get("record", ""), str):
+            raise InputError(f"line {line_no}: the record tag is not a string")
+        # counting brackets is cheap, and no line with fewer nests too deep
+        if (line.count("[") + line.count("{") > _MAX_NESTING
+                and _nests_deeper(obj, _MAX_NESTING)):
+            raise InputError(f"line {line_no}: nests deeper than {_MAX_NESTING} levels")
         out.append(obj)
     return out
 
@@ -331,7 +357,7 @@ def render_csv(records: list[dict]) -> tuple[tuple, list[tuple]]:
         # a verify output that holds a failure: one verify row per tuple
         if kinds <= {"dtuple", "verification_failure"}:
             return AUDIT_CSV_HEADER, verify_csv_rows(records)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed record: {exc!r}") from exc
     raise InputError(f"mixed or unknown record kinds, cannot shape a table: {sorted(kinds)}")
 

@@ -83,6 +83,18 @@ class DTuple:
                 return w
         raise KeyError((a, b))
 
+    def subtuple(self, elements: Iterable[int]) -> DTuple:
+        """The tuple of the given members, with their stored witnesses.
+
+        Every subset of a D(n) tuple is one, so nothing is checked again;
+        a non-member raises KeyError.
+        """
+        keep = set(elements)
+        if not keep <= set(self.elements):
+            raise KeyError(sorted(keep - set(self.elements)))
+        return DTuple(self.n, tuple(x for x in self.elements if x in keep),
+                      tuple(w for w in self.witnesses if w.a in keep and w.b in keep))
+
 
 @dataclass(frozen=True)
 class RangeClassification:
@@ -164,6 +176,8 @@ def extend(t: DTuple, lo: int, hi: int) -> list[int]:
     """
     if lo > hi:
         raise InvalidRangeError(f"empty range [{lo}, {hi}]")
+    if hi < 1:  # the window holds no positive d
+        return []
     els = t.elements
     members, rest = set(els), els[:0:-1]
     return [d for part in window_parts(els[0], t.n, max(lo, 1), hi)

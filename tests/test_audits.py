@@ -18,6 +18,7 @@ from dntuple.audits import (
     lemma2_verdict,
 )
 from dntuple.search import SearchConfig, search_maximal
+from dntuple.serialize import witness_to_obj
 from dntuple.tuples import DTuple, InputError, verify
 
 
@@ -36,8 +37,11 @@ def test_witness_fermat_triple_zero_e():
     t = vt((1, 3, 8), 1)
     w = find_witness_e(t)
     assert (w.e, w.x, w.y, w.z) == (0, 1, 1, 1)
-    assert (w.sign_x, w.sign_y) == (1, 1)
     assert w.satisfies(t)
+    # the record keeps its sign fields, always (+1, +1), until a version bump
+    obj = witness_to_obj(t, w)
+    assert (obj["e"], obj["x"], obj["y"], obj["z"]) == (0, 1, 1, 1)
+    assert (obj["sign_x"], obj["sign_y"]) == (1, 1)
 
 
 def test_witness_upper_fermat_triple():
@@ -61,10 +65,13 @@ def test_witness_n2_triple_by_scan_oracle():
 def test_witness_satisfies_rejects_tampering():
     t = vt((1, 3, 8), 1)
     w = find_witness_e(t)
-    assert not LemmaThreeWitness(e=w.e + 1, x=w.x, y=w.y, z=w.z,
-                                 sign_x=w.sign_x, sign_y=w.sign_y).satisfies(t)
-    assert not LemmaThreeWitness(e=w.e, x=w.x + 1, y=w.y, z=w.z,
-                                 sign_x=w.sign_x, sign_y=w.sign_y).satisfies(t)
+    assert not LemmaThreeWitness(e=w.e + 1, x=w.x, y=w.y, z=w.z).satisfies(t)
+    assert not LemmaThreeWitness(e=w.e, x=w.x + 1, y=w.y, z=w.z).satisfies(t)
+    assert not LemmaThreeWitness(e=w.e, x=w.x, y=w.y, z=w.z + 1).satisfies(t)
+    # the record writes e, x, y, z as found, and the sign fields as constants
+    assert witness_to_obj(t, w) == {"record": "witness", "n": 1, "elements": [1, 3, 8],
+                                    "e": 0, "x": 1, "y": 1, "z": 1,
+                                    "sign_x": 1, "sign_y": 1}
 
 
 def test_witness_doubled_fib_slices():

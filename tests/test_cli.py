@@ -1,5 +1,7 @@
+import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dntuple.cli import main
 from dntuple.serialize import (
@@ -58,9 +61,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["verify", "--n", "x", "--elements", "1,3"])
     assert exc_info.value.code == 2
-    with pytest.raises(SystemExit) as exc_info:
-        main(["audit", "--checks", "lemma9", "--seed-corpus", "nope"])
-    assert exc_info.value.code == 2
+    # an unknown check, and an empty list, which would audit nothing
+    for checks in ("lemma9", ",", "", " , "):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["audit", "--checks", checks, "--seed-corpus", "nope"])
+        assert exc_info.value.code == 2
     # --theorem1 prescribes its own epsilon
     for eps in (["--eps", "1/2"], ["--eps-grid", "1,1/2"]):
         with pytest.raises(SystemExit) as exc_info:
@@ -75,6 +80,15 @@ def test_extend_cli(capsys):
     rec = records_of(out)[1]
     assert rec["record"] == "extension"
     assert rec["extensions"] == [120]
+    # a window below 1 holds no positive d: empty, not an error
+    code, out, _ = run_cli(capsys, "extend", "--n", "1", "--elements", "1,3",
+                           "--lo", "-5", "--hi", "-1")
+    assert code == 0
+    assert records_of(out)[1] == {"record": "extension", "n": 1, "elements": [1, 3],
+                                  "lo": -5, "hi": -1, "extensions": []}
+    code, _, err = run_cli(capsys, "extend", "--n", "1", "--elements", "1,3",
+                           "--lo", "-1", "--hi", "-5")
+    assert (code, err) == (2, "error: empty range [-1, -5]\n")
 
 
 def test_witness_cli(capsys):
@@ -159,6 +173,32 @@ def test_audit_seeded_quad(tmp_path, capsys):
     assert {r.get("corollary_margin") for r in gap} >= {"6052/9"}
     assert recs[-1]["failures"] == 0
     assert recs[-1]["vacuous_gap_checks"] is False
+
+
+def test_audit_verifies_each_tuple_record_once(tmp_path, capsys, monkeypatch):
+    import dntuple.cli as cli
+    import dntuple.serialize as serialize
+
+    search_path = tmp_path / "s.jsonl"
+    run_cli(capsys, "search", "--n", "1", "--limit", "200", "--min-size", "3",
+            "--out", str(search_path))
+    records = records_of(search_path.read_text(encoding="utf-8"))
+    tuples = [r for r in records if r["record"] == "dtuple"]
+    assert any(len(r["elements"]) == 4 for r in tuples)  # so quadruples are sliced
+    calls = []
+
+    def counted(elements, n):
+        calls.append(tuple(elements))
+        return verify(elements, n)
+
+    monkeypatch.setattr(cli, "verify", counted)
+    monkeypatch.setattr(serialize, "verify", counted)
+    code, out, _ = run_cli(capsys, "audit", "--from-search", str(search_path))
+    assert code == 0
+    # the slices take their pair roots from the tuple verify() returned
+    assert calls == [tuple(r["elements"]) for r in tuples]
+    assert sum(r["record"] == "witness" for r in records_of(out)) == \
+        sum(math.comb(len(r["elements"]), 3) for r in tuples)
 
 
 def test_audit_witness_scan_bound_flag(tmp_path, capsys):
@@ -329,6 +369,7 @@ MALFORMED_ROWS = [
     b'{"record":"bound","n":2}',
     b'{"record":"bound","n":2,"epsilon":"x","k":1,"ell":1,"a_eps_bound":2,"b_eps_bound":3}',
     b'{"record":"lemma2","n":1,"elements":[],"verdict":"pass"}',
+    b'{"record":"bound","n":2,"epsilon":"1/0","k":1,"ell":1,"a_eps_bound":2,"b_eps_bound":3}',
 ]
 
 
@@ -356,6 +397,8 @@ NON_JSON_LINES = {
     "infinity": b'{"record":"search_summary","n":Infinity}',
     "minus-infinity": b'{"record":"dtuple","n":-Infinity,"elements":[1,3]}',
     "nested": b"[" * 200_000,
+    "overflow": b'{"record":"dtuple","n":1,"elements":[1,3],"v":1e400}',
+    "minus-overflow": b'{"record":"search_summary","n":-1e400}',
 }
 
 
@@ -575,7 +618,37 @@ def test_read_jsonl_rejects_garbage():
         read_jsonl(io.StringIO("{not json}\n"))
     with pytest.raises(InputError):
         read_jsonl(io.StringIO('"a bare string"\n'))
+    with pytest.raises(InputError, match="record tag"):
+        read_jsonl(io.StringIO('{"record":["dtuple"]}\n'))
     assert read_jsonl(io.StringIO("\n# comment\n")) == []
+
+
+def test_read_jsonl_refuses_nesting_past_its_cap():
+    def line(depth):  # the object itself is the first level
+        return '{"v":' + "[" * (depth - 1) + "]" * (depth - 1) + "}\n"
+
+    assert read_jsonl(io.StringIO(line(16)))
+    with pytest.raises(InputError, match="nests deeper"):
+        read_jsonl(io.StringIO(line(17)))
+
+
+def test_report_refuses_nesting_that_could_not_be_written_back(tmp_path, capsys):
+    # a value nested just short of the recursion limit decodes, yet encoding
+    # it again recurses as deep with more frames below; sweep that band
+    path = tmp_path / "deep.jsonl"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit + 1):
+        path.write_text('{"record":"x","v":' + "[" * depth + "]" * depth + "}\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", "--in", str(path), "--format", "json-lines")
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: line 1: ")
+
+
+def test_canonical_json_refuses_non_finite_floats():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            canonical_json({"v": value})
 
 
 def test_render_csv_empty_is_header_only():
@@ -597,3 +670,93 @@ def test_write_csv_refuses_cells_needing_quotes():
     buf = io.StringIO()
     with pytest.raises(ValueError):
         write_csv(buf, ("a",), [("x,y",)])
+
+
+# fuzzing the record readers: valid lines mixed with malformed ones
+
+def _strict_float(token: str) -> float:  # also sees NaN and Infinity tokens
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
+
+
+STRICT_DECODER = json.JSONDecoder(parse_constant=_strict_float, parse_float=_strict_float)
+
+VALID_LINES = [
+    b'{"record":"dtuple","n":1,"elements":[1,3,8,120],'
+    b'"witnesses":[[1,3,2],[1,8,3],[1,120,11],[3,8,5],[3,120,19],[8,120,31]]}',
+    b'{"record":"dtuple","n":4,"elements":[42,110,288]}',
+    b'{"record":"dtuple","n":1,"elements":[1,3,7]}',
+    b'{"record":"search_summary","n":1,"limit":200,"min_report_size":3,"max_results":null,'
+    b'"tuples_found":1,"empirical_max_size":4,"nodes_visited":9,"candidates_tested":9,'
+    b'"result_cap_exceeded":false}',
+    b'{"record":"witness","n":1,"elements":[1,3,8],"e":0,"x":1,"y":1,"z":1,"sign_x":1,"sign_y":1}',
+    b'{"record":"lemma2","n":4,"elements":[42,110,288,1331440],"verdict":"not_applicable"}',
+    b'{"record":"bound","n":16,"epsilon":"1/2","k":4,"ell":5,"a_eps_bound":6,"b_eps_bound":7}',
+    b"# a comment",
+    b"",
+]
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.text(max_size=8))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+def _is_utf8(blob: bytes) -> bool:
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _field(key: str, value: bytes) -> bytes:
+    return b'{"record":"dtuple","n":1,"elements":[1,3],"' + key.encode() + b'":' + value + b"}"
+
+
+MALFORMED_LINES = st.one_of(
+    # floats that overflow to an infinity, and the non-JSON constants
+    st.builds(lambda sign, exp: _field("v", b"%s1e%d" % (sign, exp)),
+              st.sampled_from((b"", b"-")), st.integers(309, 10**6)),
+    st.builds(lambda key, tok: _field(key, tok), st.sampled_from(("n", "v")),
+              st.sampled_from((b"NaN", b"Infinity", b"-Infinity"))),
+    # ints past the 4 300-digit conversion limit
+    st.builds(lambda key, k: _field(key, b"7" * k), st.sampled_from(("n", "v")),
+              st.integers(4301, 6000)),
+    # nesting up to and past the recursion limit, bare or inside a field
+    st.builds(lambda d, bare: b"[" * d + b"]" * d if bare else _field("v", b"[" * d + b"]" * d),
+              st.integers(1, 3 * sys.getrecursionlimit()), st.booleans()),
+    # bytes that are not UTF-8
+    st.builds(lambda junk, line: line + junk, st.binary(min_size=1, max_size=4).filter(
+        lambda b: not _is_utf8(b)), st.sampled_from(VALID_LINES)),
+    # wrong field types in otherwise well-formed records
+    st.builds(lambda kind, key, value: json.dumps(
+        {**json.loads(VALID_LINES[kind]), key: value}).encode(),
+        st.sampled_from(range(7)),
+        st.sampled_from(("record", "n", "elements", "witnesses", "verdict", "epsilon", "k")),
+        _JSON_VALUES),
+)
+
+
+@pytest.mark.parametrize("command", [["report", "--format", "json-lines", "--in"],
+                                     ["report", "--format", "csv", "--in"],
+                                     ["verify", "--from-search"]], ids=lambda c: c[-2])
+@given(lines=st.lists(st.one_of(st.sampled_from(VALID_LINES), MALFORMED_LINES),
+                      min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_record_files_never_crash(tmp_path, command, lines):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if command[-2] != "csv":
+        for line in out.getvalue().splitlines():
+            assert isinstance(STRICT_DECODER.decode(line), dict)

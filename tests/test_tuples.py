@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -88,6 +89,15 @@ def test_witness_for_either_order():
         t.witness_for(1, 5)
 
 
+def test_subtuple_keeps_the_stored_witnesses():
+    t = verify((1, 3, 8, 120), 1)
+    for k in range(1, 5):
+        for elems in itertools.combinations((120, 8, 3, 1), k):
+            assert t.subtuple(elems) == verify(elems, 1)
+    with pytest.raises(KeyError):
+        t.subtuple((1, 5))
+
+
 def test_extend_fermat_triple():
     t = verify((1, 3, 8), 1)
     assert extend(t, 1, 200) == [120]
@@ -113,6 +123,15 @@ def test_extend_empty_window_raises():
     t = verify((1, 3), 1)
     with pytest.raises(InvalidRangeError):
         extend(t, 10, 5)
+    with pytest.raises(InvalidRangeError):
+        extend(t, -1, -5)
+
+
+def test_extend_window_below_one_is_empty():
+    t = verify((1, 3), 1)
+    assert extend(t, -5, -1) == []
+    assert extend(t, -5, 0) == []
+    assert extend(t, 1, 1) == []
 
 
 def test_candidates_in_window_frozen_example():
