@@ -18,8 +18,7 @@ import os
 import sys
 import traceback
 from datetime import datetime, timezone
-from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .audits import (
     Lemma2Verdict,
@@ -40,12 +39,13 @@ from .serialize import (
     fraction_str,
     gap_record_to_obj,
     lemma2_to_obj,
+    parse_epsilon,
     read_jsonl,
     render_csv,
     search_report_objs,
     tuple_fields,
+    tuple_from_obj,
     tuple_to_obj,
-    tuples_from_records,
     witness_to_obj,
     write_csv,
     write_jsonl,
@@ -62,17 +62,6 @@ def _elements_arg(s: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {s!r}")
 
 
-def _rational_arg(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational like 1/2, got {s!r}")
-
-
-def _eps_grid_arg(s: str) -> tuple[Fraction, ...]:
-    return tuple(_rational_arg(part) for part in s.split(","))
-
-
 def _checks_arg(s: str) -> tuple[str, ...]:
     requested = [part.strip() for part in s.split(",") if part.strip()]
     if not requested:
@@ -85,22 +74,36 @@ def _checks_arg(s: str) -> tuple[str, ...]:
     return tuple(c for c in _CHECKS if c in requested)
 
 
-def _text(blob: bytes) -> io.StringIO:
+def _lines(blob: bytes) -> Iterator[str]:
+    """The lines of a UTF-8 file, each with its "\n".
+
+    Only "\n" ends a line, as in io.StringIO; str.splitlines() would also
+    split on "\r", "\x0b", "\u2028" and others, which canonical JSON
+    writes only escaped but a hand-edited file may hold raw in a string.
+    """
     try:
-        return io.StringIO(blob.decode("utf-8"))
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8: {exc}") from exc
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 _SEARCH_KINDS = ("dtuple", "search_summary")
 
 
-def _records(blob: bytes, path: str, kinds: tuple[str, ...]) -> list[dict]:
+def _records(blob: bytes, path: str, kinds: tuple[str, ...]) -> Iterator[dict]:
+    """The records of blob, one at a time; at the end, InputError if none was of kinds."""
     # a file with none of these records is the wrong file, not an empty one
-    records = read_jsonl(_text(blob))
-    if not any(rec.get("record") in kinds for rec in records):
+    found = False
+    for rec in read_jsonl(_lines(blob)):
+        found = found or rec.get("record") in kinds
+        yield rec
+    if not found:
         raise InputError(f"{path} holds no {' or '.join(kinds)} record")
-    return records
 
 
 def _manifest(command: str, parameters: dict[str, Any], timestamps: bool,
@@ -121,14 +124,17 @@ def _manifest(command: str, parameters: dict[str, Any], timestamps: bool,
 
 
 def _output(args, write) -> None:
-    """Run write(stream) on stdout, or on --out as a whole file or none.
+    """Run write(stream) on stdout, or on --out, as a whole output or none.
 
-    The file is written beside its target under a temporary name, with the
-    mode a plain open() gives, and renamed over the target only once
-    write() has returned.
+    Stdout gets the text only once write() has returned. The file is
+    written beside its target under a temporary name, with the mode a
+    plain open() gives, and renamed over the target only once write()
+    has returned.
     """
     if not args.out:
-        write(sys.stdout)
+        buf = io.StringIO()
+        write(buf)
+        sys.stdout.write(buf.getvalue())
         return
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
@@ -141,8 +147,16 @@ def _output(args, write) -> None:
         raise
 
 
-def _emit(args, objs, manifest: RunManifest) -> None:
-    _output(args, lambda fh: write_jsonl(fh, objs, manifest))
+def _emit(args, objs: Iterable[dict], manifest: RunManifest) -> None:
+    """Write the manifest, then each record as it is made."""
+    def write(fh):
+        # one call per record keeps each call's records a sized batch, which
+        # perfbench's tracer counts, and its time the writing alone
+        write_jsonl(fh, (), manifest)
+        for obj in objs:
+            write_jsonl(fh, (obj,))
+
+    _output(args, write)
 
 
 def _failure_obj(fail: VerificationFailure) -> dict:
@@ -174,20 +188,22 @@ def cmd_verify(args) -> int:
             blob = fh.read()
         params = {"from_search": args.from_search}
         manifest = _manifest("verify", params, args.timestamps, blob)
-        records = _records(blob, args.from_search, _SEARCH_KINDS)
-        objs = []
         bad = 0
-        for rec in records:
-            if rec.get("record") != "dtuple":
-                continue
-            n, elements = tuple_fields(rec)
-            result = verify(elements, n)
-            if isinstance(result, VerificationFailure):
-                bad += 1
-                objs.append(_failure_obj(result))
-            else:
-                objs.append(tuple_to_obj(result))
-        _emit(args, objs, manifest)
+
+        def verified():
+            nonlocal bad
+            for rec in _records(blob, args.from_search, _SEARCH_KINDS):
+                if rec.get("record") != "dtuple":
+                    continue
+                n, elements = tuple_fields(rec)
+                result = verify(elements, n)
+                if isinstance(result, VerificationFailure):
+                    bad += 1
+                    yield _failure_obj(result)
+                else:
+                    yield tuple_to_obj(result)
+
+        _emit(args, verified(), manifest)
         return 1 if bad else 0
 
     if args.n is None or args.elements is None:
@@ -237,63 +253,69 @@ def cmd_audit(args) -> int:
     params = {"checks": list(args.checks), "corpus": path}
     manifest = _manifest("audit", params, args.timestamps, blob)
     # a seed corpus must hold a tuple; a search may have found none
-    tuples = tuples_from_records(
-        _records(blob, path, _SEARCH_KINDS if args.from_search else ("dtuple",)))
+    records = _records(blob, path, _SEARCH_KINDS if args.from_search else ("dtuple",))
 
-    objs: list[dict] = []
+    tuples = 0
     failures = 0
     skipped = 0
     gap_applicable = 0
     checked = {c: 0 for c in args.checks}
     gap_checks = [c for c in args.checks if c in ("lemma5", "corollary4")]
 
-    for t in tuples:
-        if gap_checks or "lemma2" in args.checks:
-            for quad_elems in itertools.combinations(t.elements, 4):
-                quad = t.subtuple(quad_elems)
-                for check in gap_checks:
-                    op = audit_gap_lemma5 if check == "lemma5" else audit_gap_corollary
+    def audited():
+        nonlocal tuples, failures, skipped, gap_applicable
+        for rec in records:
+            if rec.get("record") != "dtuple":
+                continue
+            t = tuple_from_obj(rec)
+            tuples += 1
+            if gap_checks or "lemma2" in args.checks:
+                for quad_elems in itertools.combinations(t.elements, 4):
+                    quad = t.subtuple(quad_elems)
+                    for check in gap_checks:
+                        op = audit_gap_lemma5 if check == "lemma5" else audit_gap_corollary
+                        try:
+                            gap = op(quad)
+                        except PreconditionNotMetError:
+                            skipped += 1
+                            continue
+                        gap_applicable += 1
+                        checked[check] += 1
+                        if not gap.passed:
+                            failures += 1
+                        yield gap_record_to_obj(gap)
+                    if "lemma2" in args.checks:
+                        verdict = audit_lemma2(quad)
+                        checked["lemma2"] += 1
+                        if verdict is Lemma2Verdict.FAIL:
+                            failures += 1
+                        yield lemma2_to_obj(quad, verdict)
+            if "lemma3" in args.checks:
+                for tri_elems in itertools.combinations(t.elements, 3):
+                    tri = t.subtuple(tri_elems)
                     try:
-                        rec = op(quad)
-                    except PreconditionNotMetError:
-                        skipped += 1
-                        continue
-                    gap_applicable += 1
-                    checked[check] += 1
-                    if not rec.passed:
+                        w = find_witness_e(tri)
+                    except WitnessNotFoundError:
                         failures += 1
-                    objs.append(gap_record_to_obj(rec))
-                if "lemma2" in args.checks:
-                    verdict = audit_lemma2(quad)
-                    checked["lemma2"] += 1
-                    if verdict is Lemma2Verdict.FAIL:
-                        failures += 1
-                    objs.append(lemma2_to_obj(quad, verdict))
-        if "lemma3" in args.checks:
-            for tri_elems in itertools.combinations(t.elements, 3):
-                tri = t.subtuple(tri_elems)
-                try:
-                    w = find_witness_e(tri)
-                except WitnessNotFoundError:
-                    failures += 1
-                    objs.append({
-                        "record": "witness_missing",
-                        "n": tri.n,
-                        "elements": list(tri.elements),
-                    })
-                else:
-                    checked["lemma3"] += 1
-                    objs.append(witness_to_obj(tri, w))
+                        yield {
+                            "record": "witness_missing",
+                            "n": tri.n,
+                            "elements": list(tri.elements),
+                        }
+                    else:
+                        checked["lemma3"] += 1
+                        yield witness_to_obj(tri, w)
 
-    objs.append({
-        "record": "audit_summary",
-        "tuples": len(tuples),
-        "checked": checked,
-        "skipped_precondition": skipped,
-        "failures": failures,
-        "vacuous_gap_checks": bool(gap_checks) and gap_applicable == 0,
-    })
-    _emit(args, objs, manifest)
+        yield {
+            "record": "audit_summary",
+            "tuples": tuples,
+            "checked": checked,
+            "skipped_precondition": skipped,
+            "failures": failures,
+            "vacuous_gap_checks": bool(gap_checks) and gap_applicable == 0,
+        }
+
+    _emit(args, audited(), manifest)
     return 1 if failures else 0
 
 
@@ -308,8 +330,8 @@ def cmd_bounds(args) -> int:
             raise InputError("bounds needs --eps or --eps-grid (or --theorem1)")
         # thresholds() refuses an epsilon outside [2^-1024, 1] before the
         # parameters are serialized; str() of a huge fraction would raise
-        eps_list = sorted({thresholds(e).epsilon
-                           for e in (args.eps_grid if args.eps_grid else (args.eps,))})
+        raw = args.eps_grid.split(",") if args.eps_grid is not None else (args.eps,)
+        eps_list = sorted({thresholds(parse_epsilon(e)).epsilon for e in raw})
         params = {"n": list(ns), "eps": [fraction_str(e) for e in eps_list],
                   "theorem1": False}
         manifest = _manifest("bounds", params, args.timestamps)
@@ -323,7 +345,7 @@ def cmd_report(args) -> int:
         blob = fh.read()
     params = {"in": args.infile, "format": args.format}
     manifest = _manifest("report", params, args.timestamps, blob)
-    records = read_jsonl(_text(blob))
+    records = read_jsonl(_lines(blob))
     if args.format == "json-lines":
         _emit(args, records, manifest)
         return 0
@@ -388,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     ng.add_argument("--n", type=int)
     ng.add_argument("--n-grid", type=_elements_arg, metavar="INTS")
     eg = p.add_mutually_exclusive_group()
-    eg.add_argument("--eps", type=_rational_arg)
-    eg.add_argument("--eps-grid", type=_eps_grid_arg, metavar="RATIONALS")
+    eg.add_argument("--eps", metavar="RATIONAL")
+    eg.add_argument("--eps-grid", metavar="RATIONALS")
     eg.add_argument("--theorem1", action="store_true",
                     help="use the prescribed epsilon loglog|n|/log|n| per n")
     common(p)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .audits import GapAuditRecord, Lemma2Verdict, LemmaThreeWitness
 from .bounds import BoundReport
@@ -31,6 +32,32 @@ def canonical_json(obj: Any) -> str:
 
 def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+)|\.(\d+))?", re.ASCII)
+
+
+def parse_epsilon(s: Any) -> Fraction:
+    """The rational an epsilon string spells: an integer, p/q or a plain decimal.
+
+    Fraction() also takes an exponent form and builds its power of ten
+    before any range check ("1e99999999" runs for minutes), so this
+    refuses that form and anything else outside the three. Every digit
+    run goes through int(), whose digit limit refuses an over-long one
+    before any arithmetic. bounds.thresholds() checks the range.
+    """
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
+        raise InputError(f"epsilon {str(s)[:32]!r} is not an integer, p/q or plain decimal")
+    whole, denominator, decimals = match.groups()
+    try:
+        if decimals is not None:
+            return Fraction(int(whole + decimals), 10 ** len(decimals))
+        return Fraction(int(whole), int(denominator or 1))
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(f"epsilon {s[:32]!r}...: {exc}") from exc
+    except ZeroDivisionError:
+        raise InputError(f"epsilon {s[:32]!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -150,11 +177,11 @@ def search_summary_to_obj(report: SearchReport) -> dict:
     }
 
 
-def search_report_objs(report: SearchReport) -> list[dict]:
+def search_report_objs(report: SearchReport) -> Iterator[dict]:
     # tuples first (already in lexicographic order), summary last
-    objs = [tuple_to_obj(t) for t in report.maximal_tuples]
-    objs.append(search_summary_to_obj(report))
-    return objs
+    for t in report.maximal_tuples:
+        yield tuple_to_obj(t)
+    yield search_summary_to_obj(report)
 
 
 def bound_report_to_obj(rep: BoundReport) -> dict:
@@ -208,9 +235,13 @@ def _nests_deeper(obj: Any, depth: int) -> bool:
     return bool(level)
 
 
-def read_jsonl(stream: TextIO) -> list[dict]:
-    out = []
-    for line_no, line in enumerate(stream, start=1):
+def read_jsonl(lines: Iterable[str]) -> Iterator[dict]:
+    """Parse each line as a record, one at a time, in order.
+
+    A blank line or a '#' comment is skipped. The first faulty line raises
+    InputError naming its line number, when the reader reaches it.
+    """
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -226,13 +257,7 @@ def read_jsonl(stream: TextIO) -> list[dict]:
         if (line.count("[") + line.count("{") > _MAX_NESTING
                 and _nests_deeper(obj, _MAX_NESTING)):
             raise InputError(f"line {line_no}: nests deeper than {_MAX_NESTING} levels")
-        out.append(obj)
-    return out
-
-
-def tuples_from_records(records: Iterable[Mapping[str, Any]]) -> list[DTuple]:
-    """Pick out and re-verify every dtuple record, in file order."""
-    return [tuple_from_obj(obj) for obj in records if obj.get("record") == "dtuple"]
+        yield obj
 
 
 def _csv_cell(value: Any) -> str:
@@ -273,91 +298,99 @@ def elements_str(elements: Sequence[int]) -> str:
     return "+".join(str(x) for x in elements)
 
 
-def search_csv_rows(tuples: Iterable[DTuple]) -> list[tuple]:
-    rows = [(t.n, t.size, elements_str(t.elements)) for t in tuples]
-    rows.sort(key=lambda r: (r[0], r[2]))
-    return rows
-
-
-def audit_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
-    """Flatten audit records to (n, elements, check, margin, verdict) rows.
+def _audit_rows(obj: Mapping[str, Any]) -> list[tuple]:
+    """The (n, first element, elements, check, margin, verdict) rows of one audit record.
 
     One row per individual check; margins are the measured quantities
     (c/a and d/c for lemma5, d*n^2/(b*c) for corollary4, none for
     lemma2/lemma3). A witness record is a lemma3 pass, a witness_missing
-    record a lemma3 fail. Rows sort by (n, first element, check).
+    record a lemma3 fail.
     """
-    rows = []
-    for obj in objs:
-        kind = obj.get("record")
-        if kind not in ("gap_audit", "lemma2", "witness", "witness_missing"):
-            continue
-        n = obj["n"]
-        elems = elements_str(obj["elements"])
-        first = obj["elements"][0]
-        if kind == "gap_audit":
-            verdicts = obj["verdicts"]
-            if "lemma5_c" in verdicts:
-                rows.append((n, first, elems, "lemma5_c", obj["lemma5_c_ratio"], verdicts["lemma5_c"]))
-            if "lemma5_d" in verdicts:
-                rows.append((n, first, elems, "lemma5_d", obj["lemma5_d_ratio"], verdicts["lemma5_d"]))
-            if "corollary4" in verdicts:
-                rows.append((n, first, elems, "corollary4", obj["corollary_margin"], verdicts["corollary4"]))
-        elif kind == "lemma2":
-            rows.append((n, first, elems, "lemma2", None, obj["verdict"]))
-        else:
-            rows.append((n, first, elems, "lemma3", None, "pass" if kind == "witness" else "fail"))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    return [(n, elems, check, margin, verdict)
-            for n, _first, elems, check, margin, verdict in rows]
+    kind = obj["record"]
+    n = obj["n"]
+    elems = elements_str(obj["elements"])
+    first = obj["elements"][0]
+    if kind == "gap_audit":
+        verdicts = obj["verdicts"]
+        return [(n, first, elems, check, obj[margin], verdicts[check])
+                for check, margin in (("lemma5_c", "lemma5_c_ratio"),
+                                      ("lemma5_d", "lemma5_d_ratio"),
+                                      ("corollary4", "corollary_margin"))
+                if check in verdicts]
+    if kind == "lemma2":
+        return [(n, first, elems, "lemma2", None, obj["verdict"])]
+    return [(n, first, elems, "lemma3", None, "pass" if kind == "witness" else "fail")]
 
 
-def verify_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
-    """Flatten dtuple and verification_failure records to audit-shaped verify rows.
+def render_csv(records: Iterable[Mapping[str, Any]]) -> tuple[tuple, list[tuple]]:
+    """The CSV header and rows of a record stream: search, audit, bounds or failed verify.
 
-    The verdict, pass or fail, comes from running verify() again,
-    whatever the record claims. Rows sort by (n, elements).
+    Each record leaves only a small row source: (n, elements, verified)
+    for a dtuple or verification_failure record (verify() runs again,
+    whatever the record claims), the rows of an audit record, or the row
+    of a bound record. The shape is picked once the kinds are known. A
+    dtuple that fails verification is a fault only in a search table, so
+    it is raised at the end, or when a later line faults while every kind
+    so far is a search kind: the first fault in file order is reported.
     """
-    rows = []
-    for obj in objs:
-        if obj.get("record") in ("dtuple", "verification_failure"):
-            n, elements = tuple_fields(obj)
-            ok = not isinstance(verify(elements, n), VerificationFailure)
-            rows.append((n, elements, "pass" if ok else "fail"))
-    rows.sort()
-    return [(n, elements_str(elements), "verify", None, verdict)
-            for n, elements, verdict in rows]
-
-
-def bounds_csv_rows(objs: Iterable[Mapping[str, Any]]) -> list[tuple]:
-    rows = []
-    for obj in objs:
-        if obj.get("record") != "bound":
-            continue
-        rows.append((obj["n"], obj["epsilon"], obj["k"], obj["ell"],
-                     obj["a_eps_bound"], obj["b_eps_bound"],
-                     obj.get("c_leading"), obj.get("c_certified"),
-                     obj.get("m_leading"), obj.get("m_certified")))
-    rows.sort(key=lambda r: (r[0], Fraction(r[1])))
-    return rows
-
-
-def render_csv(records: list[dict]) -> tuple[tuple, list[tuple]]:
-    """Choose the CSV shape matching a record stream (search, audit, bounds or failed verify)."""
-    kinds = {obj.get("record") for obj in records} - {"manifest"}
-    if kinds <= {"dtuple", "search_summary"}:
-        tuples = tuples_from_records(records)
-        return SEARCH_CSV_HEADER, search_csv_rows(tuples)
+    search_kinds = {"manifest", "dtuple", "search_summary"}
+    audit_kinds = ("gap_audit", "lemma2", "witness", "witness_missing")
+    kinds = set()
+    checked: list[tuple] = []  # (n, elements, verified)
+    audit: list[tuple] = []
+    bounds: list[tuple] = []  # ((n, epsilon), row)
+    failure = None
     try:
+        for obj in records:
+            kind = obj.get("record")
+            kinds.add(kind)
+            if kind in ("dtuple", "verification_failure"):
+                n, elements = tuple_fields(obj)
+                result = verify(elements, n)
+                ok = not isinstance(result, VerificationFailure)
+                if not ok and kind == "dtuple" and failure is None:
+                    failure = InputError(f"stored tuple fails verification: {result}")
+                checked.append((n, elements, ok))
+            elif kind in audit_kinds:
+                audit.extend(_audit_rows(obj))
+            elif kind == "bound":
+                row = (obj["n"], obj["epsilon"], obj["k"], obj["ell"],
+                       obj["a_eps_bound"], obj["b_eps_bound"],
+                       obj.get("c_leading"), obj.get("c_certified"),
+                       obj.get("m_leading"), obj.get("m_certified"))
+                bounds.append(((row[0], parse_epsilon(row[1])), row))
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        if failure is not None and kinds <= search_kinds:
+            raise failure from exc
+        if isinstance(exc, InputError):
+            raise
+        raise InputError(f"malformed record: {exc!r}") from exc
+
+    kinds.discard("manifest")
+    if failure is not None and kinds <= search_kinds:
+        raise failure
+    try:
+        if kinds <= search_kinds:
+            rows = [(n, len(elements), elements_str(sorted(elements)))
+                    for n, elements, _ok in checked]
+            rows.sort(key=lambda r: (r[0], r[2]))
+            return SEARCH_CSV_HEADER, rows
         # an audit output ends in its audit_summary even when no check applied
-        if kinds <= {"gap_audit", "lemma2", "witness", "witness_missing", "audit_summary"}:
-            return AUDIT_CSV_HEADER, audit_csv_rows(records)
+        if kinds <= {*audit_kinds, "audit_summary"}:
+            audit.sort(key=lambda r: r[:4])
+            return AUDIT_CSV_HEADER, [(n, elems, check, margin, verdict)
+                                      for n, _first, elems, check, margin, verdict in audit]
         if kinds <= {"bound"}:
-            return BOUNDS_CSV_HEADER, bounds_csv_rows(records)
+            bounds.sort(key=lambda b: b[0])
+            return BOUNDS_CSV_HEADER, [row for _key, row in bounds]
         # a verify output that holds a failure: one verify row per tuple
         if kinds <= {"dtuple", "verification_failure"}:
-            return AUDIT_CSV_HEADER, verify_csv_rows(records)
+            checked.sort()
+            return AUDIT_CSV_HEADER, [(n, elements_str(elements), "verify", None,
+                                       "pass" if ok else "fail")
+                                      for n, elements, ok in checked]
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed record: {exc!r}") from exc
-    raise InputError(f"mixed or unknown record kinds, cannot shape a table: {sorted(kinds)}")
-
+    # a record without a tag reads as None, which does not sort with strings
+    raise InputError(f"mixed or unknown record kinds, cannot shape a table: "
+                     f"{sorted(kinds, key=str)}")

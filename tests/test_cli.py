@@ -6,20 +6,23 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dntuple.cli import main
+from dntuple.search import SearchConfig, search_maximal
 from dntuple.serialize import (
     canonical_json,
     fraction_str,
+    parse_epsilon,
     read_jsonl,
     render_csv,
     tuple_from_obj,
     tuple_to_obj,
-    tuples_from_records,
     write_csv,
 )
 from dntuple.tuples import DTuple, InputError, verify
@@ -104,12 +107,12 @@ def test_search_audit_report_round_trip(tmp_path, capsys):
                            "--min-size", "3", "--out", str(search_path))
     assert code == 0 and out == ""
     with open(search_path, encoding="utf-8") as fh:
-        records = read_jsonl(fh)
+        records = list(read_jsonl(fh))
     assert records[0]["record"] == "manifest"
     summary = records[-1]
     assert summary["record"] == "search_summary"
     assert summary["empirical_max_size"] == 4
-    tuples = tuples_from_records(records)
+    tuples = [tuple_from_obj(r) for r in records if r["record"] == "dtuple"]
     assert (1, 3, 8, 120) in [t.elements for t in tuples]
 
     # the same file feeds verify and audit unchanged
@@ -122,7 +125,7 @@ def test_search_audit_report_round_trip(tmp_path, capsys):
                            "--out", str(audit_path))
     assert code == 0
     with open(audit_path, encoding="utf-8") as fh:
-        audit_records = read_jsonl(fh)
+        audit_records = list(read_jsonl(fh))
     summary = audit_records[-1]
     assert summary["record"] == "audit_summary"
     assert summary["failures"] == 0
@@ -615,21 +618,21 @@ def test_tuple_round_trip_reverifies():
 
 def test_read_jsonl_rejects_garbage():
     with pytest.raises(InputError):
-        read_jsonl(io.StringIO("{not json}\n"))
+        list(read_jsonl(io.StringIO("{not json}\n")))
     with pytest.raises(InputError):
-        read_jsonl(io.StringIO('"a bare string"\n'))
+        list(read_jsonl(io.StringIO('"a bare string"\n')))
     with pytest.raises(InputError, match="record tag"):
-        read_jsonl(io.StringIO('{"record":["dtuple"]}\n'))
-    assert read_jsonl(io.StringIO("\n# comment\n")) == []
+        list(read_jsonl(io.StringIO('{"record":["dtuple"]}\n')))
+    assert list(read_jsonl(io.StringIO("\n# comment\n"))) == []
 
 
 def test_read_jsonl_refuses_nesting_past_its_cap():
     def line(depth):  # the object itself is the first level
         return '{"v":' + "[" * (depth - 1) + "]" * (depth - 1) + "}\n"
 
-    assert read_jsonl(io.StringIO(line(16)))
+    assert list(read_jsonl(io.StringIO(line(16))))
     with pytest.raises(InputError, match="nests deeper"):
-        read_jsonl(io.StringIO(line(17)))
+        list(read_jsonl(io.StringIO(line(17))))
 
 
 def test_report_refuses_nesting_that_could_not_be_written_back(tmp_path, capsys):
@@ -744,7 +747,8 @@ MALFORMED_LINES = st.one_of(
 
 @pytest.mark.parametrize("command", [["report", "--format", "json-lines", "--in"],
                                      ["report", "--format", "csv", "--in"],
-                                     ["verify", "--from-search"]], ids=lambda c: c[-2])
+                                     ["verify", "--from-search"],
+                                     ["audit", "--from-search"]], ids=lambda c: c[-2])
 @given(lines=st.lists(st.one_of(st.sampled_from(VALID_LINES), MALFORMED_LINES),
                       min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None,
@@ -757,6 +761,139 @@ def test_fuzzed_record_files_never_crash(tmp_path, command, lines):
         code = main([*command, str(path)])
     assert code in (0, 1, 2), err.getvalue()
     assert "internal error" not in err.getvalue()
+    if code == 2:  # a refused file prints nothing, however late its fault
+        assert out.getvalue() == ""
     if command[-2] != "csv":
         for line in out.getvalue().splitlines():
             assert isinstance(STRICT_DECODER.decode(line), dict)
+
+
+# the one parser of epsilon strings, for --eps, --eps-grid and bound records
+
+def test_parse_epsilon_takes_integers_fractions_and_plain_decimals():
+    assert parse_epsilon("1") == 1
+    assert parse_epsilon("3/6") == Fraction(1, 2)
+    assert parse_epsilon("0.125") == Fraction(1, 8)
+    assert parse_epsilon("-1/2") == Fraction(-1, 2)  # the range is bounds' to check
+    for bad in ("1e-5", "1E5", "1/2e3", "1_000", " 1/2", "1/2 ", "1.", ".5", "0x10", "inf",
+                "nan", "", "1/-2", "\u0661", "9" * 5000, "0." + "0" * 5000 + "1", 1, None):
+        with pytest.raises(InputError, match="^epsilon"):
+            parse_epsilon(bad)
+    with pytest.raises(InputError, match="zero denominator"):
+        parse_epsilon("1/0")
+
+
+def test_epsilon_exponent_forms_exit_two_at_once(tmp_path, capsys):
+    # Fraction() alone spends seconds to minutes building these powers of ten
+    for flag in ("--eps", "--eps-grid"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bounds", "--n", "5", flag, "1e-999999999")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: epsilon") and err.count("\n") == 1
+        assert time.perf_counter() - start < 0.5
+    path = tmp_path / "b.jsonl"
+    path.write_text('{"record":"bound","n":2,"epsilon":"1e99999999","k":1,"ell":1,'
+                    '"a_eps_bound":2,"b_eps_bound":3}\n', encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", "--in", str(path), "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: epsilon") and err.count("\n") == 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_bounds_reads_a_plain_decimal_epsilon(capsys):
+    code, decimal, _ = run_cli(capsys, "bounds", "--n", "7", "--eps-grid", "0.5,1")
+    assert code == 0
+    assert run_cli(capsys, "bounds", "--n", "7", "--eps-grid", "1/2,1/1")[1] == decimal
+
+
+# records are read one at a time: a fault is found when its line is reached
+
+RECORD_COMMANDS = [["verify", "--from-search"], ["audit", "--from-search"],
+                   ["report", "--format", "csv", "--in"],
+                   ["report", "--format", "json-lines", "--in"]]
+
+
+@pytest.mark.parametrize("command", RECORD_COMMANDS, ids=lambda c: c[-2])
+def test_a_fault_on_the_last_line_leaves_no_output(tmp_path, capsys, command):
+    search = tmp_path / "search.jsonl"
+    assert run_cli(capsys, "search", "--n", "1", "--limit", "200", "--min-size", "3",
+                   "--out", str(search))[0] == 0
+    assert run_cli(capsys, *command, str(search))[0] == 0
+    lines = search.read_text(encoding="utf-8").count("\n")
+    with search.open("a", encoding="utf-8") as fh:
+        fh.write('{"record":"dtuple","n":1,"elements":[1,3],"v":NaN}\n')
+    code, out, err = run_cli(capsys, *command, str(search))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {lines + 1}: not a JSON record")
+    # an earlier output at the --out target survives byte for byte
+    target = tmp_path / "out"
+    target.write_bytes(b"earlier\n")
+    code, out, err = run_cli(capsys, *command, str(search), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert target.read_bytes() == b"earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "search.jsonl"]
+
+
+@pytest.mark.parametrize("command, earlier", [
+    (["verify", "--from-search"], False),  # a failed tuple is a finding there, not a fault
+    (["audit", "--from-search"], True),
+    (["report", "--format", "csv", "--in"], True),  # a search table refuses one
+    (["report", "--format", "json-lines", "--in"], False),  # re-emits records unchecked
+], ids=lambda c: c[-2] if isinstance(c, list) else None)
+def test_the_first_fault_in_file_order_is_reported(tmp_path, capsys, command, earlier):
+    path = tmp_path / "search.jsonl"
+    path.write_text('{"record":"dtuple","n":1,"elements":[1,3,7]}\n'
+                    '{"record":"dtuple","n":1,"elements":[1,3,8]}\n'
+                    "not json\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    if earlier:  # line 1's tuple, although line 3 is not JSON
+        assert err == ("error: stored tuple fails verification: "
+                       "1*7+1 = 8 is not a perfect square\n")
+    else:
+        assert err.startswith("error: line 3: not a JSON record")
+
+
+def test_only_newline_ends_a_record_line(tmp_path, capsys):
+    # JSON takes U+2028 and U+0085 raw in a string; str.splitlines() would
+    # split the record there, and a "\r\n" ending is stripped as before
+    path = tmp_path / "x.jsonl"
+    path.write_bytes('{"record":"x","v":"a\u2028b\x85c"}\r\n{"record":"y"}'.encode("utf-8"))
+    code, out, err = run_cli(capsys, "report", "--in", str(path), "--format", "json-lines")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ['{"record":"x","v":"a\\u2028b\\u0085c"}', '{"record":"y"}']
+
+
+def test_record_commands_hold_one_record_at_a_time(tmp_path, capsys):
+    # The traced peak of each command grows with the file by its bytes (the
+    # file and its decoded text) plus, for a CSV, one small row source and
+    # row per record. Measured with CPython 3.11 on files of 500 and 2 000
+    # records of about 106 bytes: verify 219, audit 187, report csv 429 and
+    # json-lines 213 bytes per record. Holding every record as objects read
+    # 1 571 to 1 888.
+    bound = 640
+    report = search_maximal(SearchConfig(n=4, limit=2000, min_report_size=3))
+    lines = [canonical_json(tuple_to_obj(t)) + "\n" for t in report.maximal_tuples]
+    paths = {}
+    for count in (50, 500, 2000):
+        paths[count] = tmp_path / f"{count}.jsonl"
+        paths[count].write_text("".join(lines[i % len(lines)] for i in range(count)),
+                                encoding="utf-8")
+    out = str(tmp_path / "out")
+
+    def peak(command, count):
+        tracemalloc.start()
+        try:
+            code = main([*command, str(paths[count]), "--out", out])
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return traced
+
+    for command in RECORD_COMMANDS:
+        peak(command, 50)  # first calls fill caches that are not per record
+        growth = (peak(command, 2000) - peak(command, 500)) / 1500
+        assert growth < bound, (command, growth)
