@@ -30,7 +30,7 @@ from .audits import (
     find_witness_e,
 )
 from .bounds import NotApplicableError, bound_report, m_bound_report, thresholds
-from .search import SearchConfig, search_maximal
+from .search import SearchConfig, SearchReport, stream_maximal
 from .serialize import (
     ARTIFACT_VERSION,
     RunManifest,
@@ -75,20 +75,24 @@ def _checks_arg(s: str) -> tuple[str, ...]:
 
 
 def _lines(blob: bytes) -> Iterator[str]:
-    """The lines of a UTF-8 file, each with its "\n".
+    """The lines of a UTF-8 file, each with its "\n", decoded one at a time.
 
     Only "\n" ends a line, as in io.StringIO; str.splitlines() would also
     split on "\r", "\x0b", "\u2028" and others, which canonical JSON
     writes only escaped but a hand-edited file may hold raw in a string.
+    No byte of a multi-byte UTF-8 sequence is "\n", so decoding line by
+    line reads the text that decoding the whole file would, without a
+    second copy of the file.
     """
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"input is not UTF-8: {exc}") from exc
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
+    start = line_no = 0
+    while start < len(blob):
+        end = blob.find(b"\n", start) + 1 or len(blob)
+        line_no += 1
+        try:
+            line = blob[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"line {line_no}: input is not UTF-8: {exc}") from exc
+        yield line
         start = end
 
 
@@ -227,8 +231,10 @@ def cmd_search(args) -> int:
     params = {"n": config.n, "limit": config.limit, "min_size": config.min_report_size,
               "max_results": config.max_results}
     manifest = _manifest("search", params, args.timestamps)
-    report = search_maximal(config)
-    _emit(args, search_report_objs(report), manifest)
+    report = SearchReport(config)
+    # closed on any way out, so that no worker outlives a failed write
+    with contextlib.closing(stream_maximal(report)) as tuples:
+        _emit(args, search_report_objs(report, tuples), manifest)
     if report.result_cap_exceeded:
         print(f"result cap {config.max_results} reached; output is a deterministic "
               "prefix, not the full set", file=sys.stderr)

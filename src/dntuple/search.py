@@ -54,12 +54,16 @@
 # counters as they stood when it was found, and the block's counters.
 # Block order is seed order, so the concatenated tuples are already
 # lexicographic, the counters sum, and the report is byte-identical for
-# any number of workers. A capped search reads the blocks in order and
-# stops at the tuple that reaches the cap, with the counters of the blocks
-# before it plus those recorded with that tuple: what one pass over the
-# seeds that stopped there would count. A search below FORK_MIN_LIMIT, on
-# one CPU, or without os.fork runs its blocks in one process, one after
-# another, so a capped one stops after the block that reaches the cap.
+# any number of workers. The parent verifies and yields each block's
+# tuples as it reads the block (stream_maximal), so it holds one block's
+# element lists at a time, never the whole result, and the counters are
+# final only when the stream ends. A capped search reads the blocks in
+# order and stops at the tuple that reaches the cap, with the counters of
+# the blocks before it plus those recorded with that tuple: what one pass
+# over the seeds that stopped there would count. A search below
+# FORK_MIN_LIMIT, on one CPU, or without os.fork runs its blocks in one
+# process, one after another, so a capped one stops after the block that
+# reaches the cap.
 
 from __future__ import annotations
 
@@ -128,6 +132,10 @@ class SearchConfig:
 class SearchReport:
     """Everything one search produced, in deterministic order.
 
+    stream_maximal fills the four counters while its stream runs; they
+    are final only once the stream has ended. maximal_tuples is filled by
+    search_maximal alone, which collects the whole stream.
+
     empirical_max_size is the largest tuple size visited anywhere in the
     traversal, whether or not it cleared min_report_size; it is a lower
     bound for the true maximum over [1, limit]. When the cap stops a
@@ -145,16 +153,29 @@ class SearchReport:
 
 
 def search_maximal(config: SearchConfig) -> SearchReport:
-    """Enumerate every maximal D(n) tuple within [1, limit] of size >= min_report_size.
+    """The report of a search, with every tuple of stream_maximal in maximal_tuples."""
+    report = SearchReport(config)
+    report.maximal_tuples = list(stream_maximal(report))
+    return report
+
+
+def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
+    """Yield every maximal D(n) tuple within [1, limit] of size >= min_report_size.
+
+    The search is report.config, and its counters go into report (a new
+    one); they are final once the stream has ended. Each tuple is
+    verified and yielded as its block of seeds is read, so the stream
+    holds one block's tuples at a time. Closing the stream early, or an
+    error, kills and reaps every worker.
 
     Maximal means extend(t, 1, limit) is empty: nothing in range extends
     the tuple, below or above its maximum. Output order is lexicographic
     on element lists and byte-stable across reruns, whatever the number
-    of workers. With max_results set, the report keeps the first that
-    many tuples and is flagged result_cap_exceeded once they are reached
-    (a deterministic prefix, never a silent truncation); the whole pair
-    graph is still built first, and the clique growth stops at the block
-    of seeds that holds the last kept tuple.
+    of workers. With max_results set, the stream ends after the first
+    that many tuples and report is flagged result_cap_exceeded once they
+    are reached (a deterministic prefix, never a silent truncation); the
+    whole pair graph is still built first, and the clique growth stops at
+    the block of seeds that holds the last kept tuple.
 
     Only the seeds a <= low = min(limit, max(limit // 4, |n|)) are
     factored and walked. A seed d > low has d > |n| and 4d > limit, so
@@ -164,6 +185,7 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     upper neighbours are the regular extensions of its pairs with the
     walked seeds, plus d + 2*sqrt(n) for a square n.
     """
+    config = report.config
     n, limit = config.n, config.limit
     min_report, max_results = config.min_report_size, config.max_results
     table = RootTable(n, smallest_factor_sieve(limit))
@@ -294,16 +316,20 @@ def search_maximal(config: SearchConfig) -> SearchReport:
                 best = best or 1
                 continue
             explore([a], adj[start[a]:start[a + 1]])
+        # explore refers to itself; the cycle would keep this block's tuples
+        # and the CSR alive until the cyclic collector ran
+        del explore
         return found, best, nodes, cands
 
     # stage 2: cliques seed by seed, read in block order up to the cap
-    report = SearchReport(config=config, candidates_tested=len(adj))
-    tuples = report.maximal_tuples
+    report.candidates_tested = len(adj)
+    count = 0
     with closing(fork_map(grow, seed_blocks(limit, jobs), jobs)) as parts:
         for found, best, nodes, cands in parts:
             for els, *upto in found:
-                tuples.append(verify(els, n))
-                if len(tuples) == max_results:
+                yield verify(els, n)
+                count += 1
+                if count == max_results:
                     best, nodes, cands = upto
                     report.result_cap_exceeded = True
                     break
@@ -312,7 +338,6 @@ def search_maximal(config: SearchConfig) -> SearchReport:
             report.candidates_tested += cands
             if report.result_cap_exceeded:
                 break
-    return report
 
 
 def usable_cpus() -> int:
@@ -426,5 +451,7 @@ def empirical_max_size(n: int, limit: int) -> int:
     a heuristic, and serves as the desk-scale lower bound for the true
     maximum tuple size.
     """
-    # min_report_size above limit is unreachable
-    return search_maximal(SearchConfig(n, limit, min_report_size=limit + 2)).empirical_max_size
+    report = SearchReport(SearchConfig(n, limit, min_report_size=limit + 2))
+    for _ in stream_maximal(report):  # min_report_size above limit: nothing to yield
+        pass
+    return report.empirical_max_size

@@ -161,7 +161,7 @@ def lemma2_to_obj(quad: DTuple, verdict: Lemma2Verdict) -> dict:
     }
 
 
-def search_summary_to_obj(report: SearchReport) -> dict:
+def search_summary_to_obj(report: SearchReport, tuples_found: int) -> dict:
     cfg = report.config
     return {
         "record": "search_summary",
@@ -169,7 +169,7 @@ def search_summary_to_obj(report: SearchReport) -> dict:
         "limit": cfg.limit,
         "min_report_size": cfg.min_report_size,
         "max_results": cfg.max_results,
-        "tuples_found": len(report.maximal_tuples),
+        "tuples_found": tuples_found,
         "empirical_max_size": report.empirical_max_size,
         "nodes_visited": report.nodes_visited,
         "candidates_tested": report.candidates_tested,
@@ -177,11 +177,16 @@ def search_summary_to_obj(report: SearchReport) -> dict:
     }
 
 
-def search_report_objs(report: SearchReport) -> Iterator[dict]:
-    # tuples first (already in lexicographic order), summary last
-    for t in report.maximal_tuples:
+def search_report_objs(report: SearchReport, tuples: Iterable[DTuple]) -> Iterator[dict]:
+    """A record per tuple as it comes (in lexicographic order), then the summary.
+
+    The summary counts the tuples that passed and reads report's counters
+    only after the last one, when a stream that fills them has ended.
+    """
+    found = 0
+    for found, t in enumerate(tuples, start=1):
         yield tuple_to_obj(t)
-    yield search_summary_to_obj(report)
+    yield search_summary_to_obj(report, found)
 
 
 def bound_report_to_obj(rep: BoundReport) -> dict:
@@ -298,6 +303,11 @@ def elements_str(elements: Sequence[int]) -> str:
     return "+".join(str(x) for x in elements)
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    # the elements an elements_str of positive integers spells
+    return tuple(map(int, text.split("+")))
+
+
 def _audit_rows(obj: Mapping[str, Any]) -> list[tuple]:
     """The (n, first element, elements, check, margin, verdict) rows of one audit record.
 
@@ -326,17 +336,19 @@ def render_csv(records: Iterable[Mapping[str, Any]]) -> tuple[tuple, list[tuple]
     """The CSV header and rows of a record stream: search, audit, bounds or failed verify.
 
     Each record leaves only a small row source: (n, elements, verified)
-    for a dtuple or verification_failure record (verify() runs again,
-    whatever the record claims), the rows of an audit record, or the row
-    of a bound record. The shape is picked once the kinds are known. A
-    dtuple that fails verification is a fault only in a search table, so
-    it is raised at the end, or when a later line faults while every kind
-    so far is a search kind: the first fault in file order is reported.
+    for a dtuple or verification_failure record, its elements one string
+    in the record's order (verify() runs again, whatever the record
+    claims), the rows of an audit record, or the row of a bound record.
+    The shape is picked once the kinds are known. A dtuple that fails
+    verification is a fault only in a search table, so it is raised at
+    the end, or when a later line faults while every kind so far is a
+    search kind: the first fault in file order is reported.
     """
     search_kinds = {"manifest", "dtuple", "search_summary"}
     audit_kinds = ("gap_audit", "lemma2", "witness", "witness_missing")
     kinds = set()
-    checked: list[tuple] = []  # (n, elements, verified)
+    checked: list[tuple] = []  # (n, elements_str of the record's elements, verified)
+    unsorted = False  # a record listed its elements out of order
     audit: list[tuple] = []
     bounds: list[tuple] = []  # ((n, epsilon), row)
     failure = None
@@ -350,7 +362,8 @@ def render_csv(records: Iterable[Mapping[str, Any]]) -> tuple[tuple, list[tuple]
                 ok = not isinstance(result, VerificationFailure)
                 if not ok and kind == "dtuple" and failure is None:
                     failure = InputError(f"stored tuple fails verification: {result}")
-                checked.append((n, elements, ok))
+                unsorted = unsorted or elements != result.elements  # verify() sorts
+                checked.append((n, elements_str(elements), ok))
             elif kind in audit_kinds:
                 audit.extend(_audit_rows(obj))
             elif kind == "bound":
@@ -371,24 +384,28 @@ def render_csv(records: Iterable[Mapping[str, Any]]) -> tuple[tuple, list[tuple]
         raise failure
     try:
         if kinds <= search_kinds:
-            rows = [(n, len(elements), elements_str(sorted(elements)))
-                    for n, elements, _ok in checked]
-            rows.sort(key=lambda r: (r[0], r[2]))
-            return SEARCH_CSV_HEADER, rows
+            # every tuple verified, so sorting the sources sorts by (n, elements)
+            if unsorted:
+                checked = [(n, elements_str(sorted(_ints(els))), ok) for n, els, ok in checked]
+            checked.sort()
+            for i, (n, els, _ok) in enumerate(checked):  # in place: one row per record
+                checked[i] = (n, els.count("+") + 1, els)
+            return SEARCH_CSV_HEADER, checked
         # an audit output ends in its audit_summary even when no check applied
         if kinds <= {*audit_kinds, "audit_summary"}:
             audit.sort(key=lambda r: r[:4])
-            return AUDIT_CSV_HEADER, [(n, elems, check, margin, verdict)
-                                      for n, _first, elems, check, margin, verdict in audit]
+            for i, (n, _first, elems, check, margin, verdict) in enumerate(audit):
+                audit[i] = (n, elems, check, margin, verdict)
+            return AUDIT_CSV_HEADER, audit
         if kinds <= {"bound"}:
             bounds.sort(key=lambda b: b[0])
             return BOUNDS_CSV_HEADER, [row for _key, row in bounds]
-        # a verify output that holds a failure: one verify row per tuple
+        # a verify output that holds a failure: one verify row per tuple, in
+        # the numeric order of the elements as each record lists them
         if kinds <= {"dtuple", "verification_failure"}:
-            checked.sort()
-            return AUDIT_CSV_HEADER, [(n, elements_str(elements), "verify", None,
-                                       "pass" if ok else "fail")
-                                      for n, elements, ok in checked]
+            checked.sort(key=lambda c: (c[0], _ints(c[1]), c[2]))
+            return AUDIT_CSV_HEADER, [(n, els, "verify", None, "pass" if ok else "fail")
+                                      for n, els, ok in checked]
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed record: {exc!r}") from exc
     # a record without a tag reads as None, which does not sort with strings

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dntuple.cli import main
-from dntuple.search import SearchConfig, search_maximal
+from dntuple.search import MAX_LIMIT, SearchConfig, search_maximal
 from dntuple.serialize import (
     canonical_json,
     fraction_str,
@@ -287,6 +287,27 @@ def test_report_csv_renders_a_verification_failure_as_a_verify_fail(tmp_path, ca
                                     "1,1+8+14,verify,,fail",
                                     "1,2+4+12,verify,,pass",
                                     "1,3+5+16,verify,,pass"]
+
+
+def test_report_csv_orders_hand_written_tuple_rows(tmp_path, capsys):
+    # a search table sorts each tuple's elements and its rows by (n, elements
+    # string); a verify table keeps the elements as listed, in numeric order
+    path = tmp_path / "tuples.jsonl"
+    records = ['{"record":"dtuple","n":1,"elements":[8,3,1]}',
+               '{"record":"dtuple","n":1,"elements":[1,3,120,8]}',
+               '{"record":"dtuple","n":-1,"elements":[2,1]}']
+    path.write_text("\n".join(records) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", "--in", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["n,size,elements", "-1,2,1+2", "1,3,1+3+8",
+                                    "1,4,1+3+8+120"]
+    records.append('{"record":"verification_failure","n":1,"elements":[10,2]}')
+    path.write_text("\n".join(records) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", "--in", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["n,elements,check,margin,verdict", "-1,2+1,verify,,pass",
+                                    "1,1+3+120+8,verify,,pass", "1,8+3+1,verify,,pass",
+                                    "1,10+2,verify,,fail"]
 
 
 def test_bounds_grid_cli(capsys):
@@ -768,6 +789,55 @@ def test_fuzzed_record_files_never_crash(tmp_path, command, lines):
             assert isinstance(STRICT_DECODER.decode(line), dict)
 
 
+# fuzzing the search's argv: valid and invalid values of every flag, valid
+# limits small enough that each example runs in well under a second
+
+_HUGE_INT_TEXT = st.builds(lambda sign, k: sign + "9" * k, st.sampled_from(("", "-")),
+                           st.integers(4290, 4310))  # around the 4 300-digit limit
+_NOT_INT_TEXT = st.sampled_from(("", "x", "1.5", "1e3", "0x10", "nan", "--limit"))
+
+
+def _flag(valid, *invalid):  # three draws in four valid
+    invalid = st.one_of(*invalid, _HUGE_INT_TEXT, _NOT_INT_TEXT)
+    return st.integers(0, 3).flatmap(lambda k: valid.map(str) if k else invalid)
+
+
+SEARCH_FLAGS = {
+    "--n": _flag(st.one_of(st.integers(-30, 30), st.builds(lambda sign, k: sign * 10**k,
+                                                         st.sampled_from((1, -1)),
+                                                         st.integers(1, 4299))),
+                 st.just("0")),
+    "--limit": _flag(st.integers(1, 2000), st.integers(-3, 0).map(str),
+                     st.integers(MAX_LIMIT + 1, 10**12).map(str)),
+    "--min-size": _flag(st.integers(1, 6), st.integers(-1, 0).map(str)),
+    "--max-results": _flag(st.integers(1, 50), st.integers(-1, 0).map(str)),
+}
+
+
+@given(flags=st.fixed_dictionaries({k: SEARCH_FLAGS[k] for k in ("--n", "--limit")},
+                                   optional={k: SEARCH_FLAGS[k] for k in ("--min-size",
+                                                                          "--max-results")}),
+       dropped=st.sampled_from((None, None, None, "--n", "--limit")))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_search_argv_never_crashes(flags, dropped):
+    flags.pop(dropped, None)
+    argv = ["search", *(part for flag, value in flags.items() for part in (flag, value))]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    assert time.perf_counter() - start < 10  # the budget; the slowest takes about 0.5 s
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        assert json.loads(out.getvalue().splitlines()[-1])["record"] == "search_summary"
+
+
 # the one parser of epsilon strings, for --eps, --eps-grid and bound records
 
 def test_parse_epsilon_takes_integers_fractions_and_plain_decimals():
@@ -856,6 +926,21 @@ def test_the_first_fault_in_file_order_is_reported(tmp_path, capsys, command, ea
         assert err.startswith("error: line 3: not a JSON record")
 
 
+@pytest.mark.parametrize("command", RECORD_COMMANDS, ids=lambda c: c[-2])
+def test_a_line_that_is_not_utf8_is_a_fault_of_that_line(tmp_path, capsys, command):
+    # each line is decoded as it is read, so a later fault does not win
+    path = tmp_path / "search.jsonl"
+    path.write_bytes(b'{"record":"dtuple","n":1,"elements":[1,3,8]}\n'
+                     b'{"record":"dtuple","n":1,"elements":[1,3]}\xff\n')
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: input is not UTF-8: ") and err.count("\n") == 1
+    path.write_bytes(b"not json\n\xff\n")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: not a JSON record")
+
+
 def test_only_newline_ends_a_record_line(tmp_path, capsys):
     # JSON takes U+2028 and U+0085 raw in a string; str.splitlines() would
     # split the record there, and a "\r\n" ending is stripped as before
@@ -867,13 +952,15 @@ def test_only_newline_ends_a_record_line(tmp_path, capsys):
 
 
 def test_record_commands_hold_one_record_at_a_time(tmp_path, capsys):
-    # The traced peak of each command grows with the file by its bytes (the
-    # file and its decoded text) plus, for a CSV, one small row source and
-    # row per record. Measured with CPython 3.11 on files of 500 and 2 000
-    # records of about 106 bytes: verify 219, audit 187, report csv 429 and
-    # json-lines 213 bytes per record. Holding every record as objects read
+    # The traced peak of each command grows with the file by its bytes, read
+    # whole for the manifest's digest and decoded one line at a time, plus,
+    # for a CSV, one short row source per record. Measured with CPython 3.11
+    # on files of 500 and 2 000 records of about 106 bytes: verify 117, audit
+    # 98 to 181, report csv 184 and json-lines 100 bytes per record. Holding
+    # the decoded text beside the bytes read 208 to 284, and the CSV rows
+    # beside their sources 395 to 462; holding every record as objects read
     # 1 571 to 1 888.
-    bound = 640
+    bound = 280
     report = search_maximal(SearchConfig(n=4, limit=2000, min_report_size=3))
     lines = [canonical_json(tuple_to_obj(t)) + "\n" for t in report.maximal_tuples]
     paths = {}
@@ -897,3 +984,28 @@ def test_record_commands_hold_one_record_at_a_time(tmp_path, capsys):
         peak(command, 50)  # first calls fill caches that are not per record
         growth = (peak(command, 2000) - peak(command, 500)) / 1500
         assert growth < bound, (command, growth)
+
+
+def test_search_holds_one_block_of_tuples(tmp_path):
+    # The traced peak of search --out for n = 9, in one process, grows with
+    # the sieve and the pair graph, not with the tuples, which are written
+    # as their block is read. Measured with CPython 3.11 at limits 600 and
+    # 2 000 (699 and 3 031 tuples): 30 bytes per tuple. Collecting every
+    # DTuple with its witnesses before writing read 640 to 670.
+    out = str(tmp_path / "s.jsonl")
+
+    def peak(limit):
+        tracemalloc.start()
+        try:
+            code = main(["search", "--n", "9", "--limit", str(limit), "--out", out])
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with open(out, encoding="utf-8") as fh:
+            return traced, sum('"record":"dtuple"' in line for line in fh)
+
+    peak(200)  # first calls fill caches that are not per tuple
+    (small, few), (large, many) = peak(600), peak(2000)
+    assert many > 4 * few
+    assert (large - small) / (many - few) < 200

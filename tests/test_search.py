@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -19,6 +20,7 @@ from dntuple.residues import RootTable, smallest_factor_sieve, walk
 from dntuple.search import (
     MAX_LIMIT,
     SearchConfig,
+    SearchReport,
     empirical_max_size,
     search_maximal,
 )
@@ -346,6 +348,104 @@ def test_failed_worker_fails_the_search(monkeypatch, capsys, name):
     assert err.startswith("internal error: WorkerError(") and "worker failure" in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# the search streams its tuples: each is written as its block is read
+
+
+@pytest.mark.parametrize("n, limit, min_size, cap", [
+    (4, 800, 3, None), (4, 800, 3, 40), (9, 800, 3, None), (9, 800, 3, 25),
+    (-2, 2500, 2, None), (-2, 2500, 2, 30)])
+def test_search_output_is_the_same_at_any_worker_count(monkeypatch, capsys, tmp_path,
+                                                      n, limit, min_size, cap):
+    argv = ["search", "--n", str(n), "--limit", str(limit), "--min-size", str(min_size)]
+    if cap is not None:
+        argv += ["--max-results", str(cap)]
+    out = tmp_path / "s.jsonl"
+    outputs = []
+    for jobs in (1, 2, 3):
+        force_workers(monkeypatch, jobs)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr())
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", outputs[-1].err)
+        assert out.read_text(encoding="utf-8") == outputs[-1].out
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # the summary counts the records written, and matches the collected report
+    text = outputs[0].out
+    summary = json.loads(text.splitlines()[-1])
+    report = search_maximal(SearchConfig(n, limit, min_size, cap))
+    assert summary["tuples_found"] == text.count('"record":"dtuple"') == len(report.maximal_tuples)
+    assert (summary["nodes_visited"], summary["candidates_tested"], summary["empirical_max_size"],
+            summary["result_cap_exceeded"]) == report_fields(report)[1:]
+    assert report.result_cap_exceeded == (cap is not None)
+    assert ("result cap" in outputs[0].err) == (cap is not None)
+
+
+def test_abandoned_stream_kills_and_reaps_its_workers(monkeypatch):
+    force_workers(monkeypatch, 2)
+    report = SearchReport(SearchConfig(n=4, limit=1500, min_report_size=3))
+    stream = search.stream_maximal(report)
+    assert next(stream).elements == (1, 5, 12, 96)
+    stream.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_failing_mid_stream_leaves_the_out_target(monkeypatch, capsys, tmp_path):
+    # the workers fail only on seeds above 100, so the early blocks' tuples
+    # are written before the failure arrives
+    parent = os.getpid()
+    real = search.extenders
+
+    def failing(candidates, members, rest, n):
+        if os.getpid() != parent and min(members) > 100:
+            raise ValueError("late worker failure")
+        return real(candidates, members, rest, n)
+
+    written = []
+    write_jsonl = cli.write_jsonl
+
+    def counting(fh, objs, manifest=None):
+        written.extend(objs)
+        write_jsonl(fh, objs, manifest)
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(search, "extenders", failing)
+    monkeypatch.setattr(cli, "write_jsonl", counting)
+    target = tmp_path / "s.jsonl"
+    target.write_bytes(b"earlier\n")
+    assert cli.main(["search", "--n", "4", "--limit", "1500", "--out", str(target)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "late worker failure" in err
+    assert sum(obj["record"] == "dtuple" for obj in written) > 100
+    assert target.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_write_that_raises_stops_the_workers_before_it_propagates(monkeypatch):
+    # an exception that cli.main does not catch: while `stopped` still holds
+    # its traceback, and with it the search's frames, no worker is left
+    class Stop(BaseException):
+        pass
+
+    calls = itertools.count()
+    write_jsonl = cli.write_jsonl
+
+    def stopping(fh, objs, manifest=None):
+        if next(calls) == 10:
+            raise Stop
+        write_jsonl(fh, objs, manifest)
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "write_jsonl", stopping)
+    with pytest.raises(Stop) as stopped:
+        cli.main(["search", "--n", "4", "--limit", "1500"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert stopped.type is Stop
 
 
 def run_script(script, *args):
