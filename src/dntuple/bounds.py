@@ -14,6 +14,7 @@ pinned down).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -118,6 +119,11 @@ def b_eps_bound(n: int, epsilon) -> int:
     few ulps before flooring so float rounding can never understate it.
     """
     eps = _as_epsilon(epsilon)
+    return _window_cap(eps, _log_gaps(n))
+
+
+def _log_gaps(n: int):
+    # log|n| / log 4.89, the part of b_eps_bound that depends on n alone
     if n == 0:
         raise ZeroNError("n must be nonzero")
     if abs(n) == 1:
@@ -125,8 +131,16 @@ def b_eps_bound(n: int, epsilon) -> int:
     import mpmath  # only the commands that compute a bound pay for this import
 
     with mpmath.workprec(128):
+        return mpmath.log(abs(n)) / _log_gap()
+
+
+def _window_cap(eps: Fraction, log_gaps) -> int:
+    # b_eps_bound from its n part, _log_gaps(n)
+    import mpmath
+
+    with mpmath.workprec(128):
         q = mpmath.mpf(eps.numerator) / eps.denominator
-        q *= mpmath.log(abs(n)) / _log_gap()
+        q *= log_gaps
         q += mpmath.ldexp(q, -96) + mpmath.ldexp(mpmath.mpf(1), -96)
         return int(mpmath.floor(q)) + 3
 
@@ -178,22 +192,36 @@ class BoundReport:
 
 def bound_report(n: int, epsilon) -> BoundReport:
     """All bounds at one (n, eps): k, ell, the A-part, the window cap and the estimates."""
-    if n == 0:
+    return bound_grid((n,), (epsilon,))[0]
+
+
+def bound_grid(ns: Sequence[int], epsilons: Iterable) -> list[BoundReport]:
+    """bound_report(n, eps) for each n in turn, and each eps within one n.
+
+    The thresholds are computed once per eps, and the window cap's log|n|
+    quotient and the estimate once per n, not once per row.
+    """
+    if 0 in ns:
         raise ZeroNError("n must be nonzero")
-    th = thresholds(epsilon)
-    a = th.k + th.ell
-    b = b_eps_bound(n, th.epsilon) if abs(n) >= 2 else None
-    c = c_bound_leading(n) if abs(n) >= 3 else None
-    return BoundReport(
-        n=n,
-        epsilon=th.epsilon,
-        k=th.k,
-        ell=th.ell,
-        a_eps_bound=a,
-        b_eps_bound=b,
-        c_bound_leading=c,
-        m_bound_leading=None if c is None else Estimate(value=a + b + c.value),
-    )
+    ths = [thresholds(eps) for eps in epsilons]
+    rows = []
+    for n in ns:
+        log_gaps = _log_gaps(n) if abs(n) >= 2 else None
+        c = c_bound_leading(n) if abs(n) >= 3 else None
+        for th in ths:
+            a = th.k + th.ell
+            b = None if log_gaps is None else _window_cap(th.epsilon, log_gaps)
+            rows.append(BoundReport(
+                n=n,
+                epsilon=th.epsilon,
+                k=th.k,
+                ell=th.ell,
+                a_eps_bound=a,
+                b_eps_bound=b,
+                c_bound_leading=c,
+                m_bound_leading=None if c is None else Estimate(value=a + b + c.value),
+            ))
+    return rows
 
 
 def _prescribed_epsilon_bracket(m: int) -> tuple[Fraction, Fraction]:

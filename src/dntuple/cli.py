@@ -29,7 +29,7 @@ from .audits import (
     audit_lemma2,
     find_witness_e,
 )
-from .bounds import NotApplicableError, bound_report, m_bound_report, thresholds
+from .bounds import NotApplicableError, bound_grid, m_bound_report, thresholds
 from .search import SearchConfig, SearchReport, stream_maximal
 from .serialize import (
     ARTIFACT_VERSION,
@@ -341,7 +341,7 @@ def cmd_bounds(args) -> int:
         params = {"n": list(ns), "eps": [fraction_str(e) for e in eps_list],
                   "theorem1": False}
         manifest = _manifest("bounds", params, args.timestamps)
-        objs = [bound_report_to_obj(bound_report(n, eps)) for n in ns for eps in eps_list]
+        objs = [bound_report_to_obj(rep) for rep in bound_grid(ns, eps_list)]
     _emit(args, objs, manifest)
     return 0
 

@@ -60,10 +60,12 @@
 # final only when the stream ends. A capped search reads the blocks in
 # order and stops at the tuple that reaches the cap, with the counters of
 # the blocks before it plus those recorded with that tuple: what one pass
-# over the seeds that stopped there would count. A search below
-# FORK_MIN_LIMIT, on one CPU, or without os.fork runs its blocks in one
-# process, one after another, so a capped one stops after the block that
-# reaches the cap.
+# over the seeds that stopped there would count. Each stage forks only
+# when its own work clears a floor (FORK_MIN_SEEDS live seeds for stage 1,
+# FORK_MIN_PAIRS weighted pairs for stage 2); a stage below its floor, or
+# on one CPU, or without os.fork runs its blocks in one process, one after
+# another, so a capped stage 2 there stops after the block that reaches
+# the cap.
 
 from __future__ import annotations
 
@@ -85,17 +87,40 @@ T = TypeVar("T")
 # the sieve and the pair graph hold int32 entries per element of [1, limit]
 MAX_LIMIT = 10**7
 
-# below this limit a search runs in one process. Forking the workers of
-# both stages costs about 20 ms. On 2 vCPUs (one process / forked, medians
-# of 11 fresh interpreters), with stage 1 walking only the seeds up to
-# max(limit // 4, |n|): at min size 4, n = -2 takes 20.9/57.8 ms at 10 000
-# and 40.5/80.5 ms at 20 000, and n = 4 122/176 and 335/371 ms; at min
-# size 3, where stage 2 does more, n = 4 takes 1101/573 and 2221/1322 ms.
-# A higher floor would lose a dense n's gain at the default min size; a
-# lower one would also fork the report pipeline's searches at 6 000
-# (n = 4, min size 3: 533/312 ms), which is left to a change measured on
-# its own. So the floor stays at 10 000
-FORK_MIN_LIMIT = 10_000
+# Each stage forks its workers only when its own work repays the fork,
+# judged from counts the search has before that fork. Stage 1 walks the
+# seeds with a root, so it forks from FORK_MIN_SEEDS of them. Stage 2
+# grows cliques over the pairs: in one process about 1.3 us per pair at
+# min size 4 and above, and 7 to 11 us below it, where nearly every
+# triangle is a leaf that is walked for maximality and reported (and the
+# parent verifies and writes each while the workers grow the rest). So it
+# forks from FORK_MIN_PAIRS pairs, each counted 8 times below min size 4.
+# CLI search --out on 2 vCPUs, n at limit and min size (seeds with a root
+# or pairs): one process / forked ms, medians of 11 alternated fresh
+# interpreters (15 where marked *), and the runs the fork won.
+#   stage 1, stage 2 in one process:
+#     -2 at 2*10^4, 4 (1 064)          35.5 / 54.1     0 of 11
+#     -2 at 4*10^4, 4 (2 047)          77.0 / 95.6     3 of 11
+#     -2 at 8*10^4, 4 (3 944)         112.7 / 109.8    6 of 11
+#   stage 1, stage 2 forked:
+#      4 at 6 000, 3 (1 500)          331.9 / 333.3    4 of 11
+#      4 at 2*10^4, 4 (5 000)         235.7 / 210.3   10 of 11
+#     -2 at 1.6*10^5, 4 (7 611)       289.3 / 251.2   11 of 11
+#   stage 2, stage 1 in one process:
+#     -2 at 2*10^4, 3 (13 497)        201.1 / 220.3    4 of 15*
+#     -6 at 2*10^4, 3 (15 592)        375.1 / 397.6    1 of 15*
+#      4 at 6 000, 3 (28 557)         511.9 / 375.5    9 of 11
+#      9 at 6 000, 3 (27 855)         551.5 / 371.6   11 of 11
+#     -2 at 4*10^4, 3 (27 007)        584.3 / 420.6   10 of 15*
+#     -2 at 1.6*10^5, 4 (108 039)     231.4 / 260.9    3 of 11
+#      4 at 3*10^4, 4 (172 135)       388.8 / 311.2   11 of 11
+#     -2 at 3*10^5, 4 (202 555)       603.6 / 538.4    9 of 11
+# The host's second vCPU is shared, so near a floor the outcome moves
+# between sets of runs (4 at 3 000, min size 3, 13 013 pairs: won 11 of 11
+# in one set, 1 of 15 in another); each floor sits where the fork won
+# most runs of every set above it.
+FORK_MIN_SEEDS = 4_000
+FORK_MIN_PAIRS = 160_000
 
 # seed blocks per worker. The cubic spacing of seed_blocks gives each
 # block about an even share of the work, and worker w takes every jobs-th
@@ -195,7 +220,9 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
     low = min(limit, max(limit // 4, abs(n)))
     # a*d + n = r*r needs r*r = n (mod a): only seeds with a root have partners
     live = table.solvable(low)
-    jobs = usable_cpus() if limit >= FORK_MIN_LIMIT and hasattr(os, "fork") else 1
+    cpus = usable_cpus() if hasattr(os, "fork") else 1
+    # each stage forks only when its own work repays the fork (see FORK_MIN_SEEDS)
+    jobs = cpus if live.count(1) >= FORK_MIN_SEEDS else 1
 
     def neighbours(lo: int, hi: int) -> tuple[array, array, array, array]:
         # stage 1 on seeds [lo, hi), all <= low: their upper neighbours,
@@ -323,6 +350,9 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
 
     # stage 2: cliques seed by seed, read in block order up to the cap
     report.candidates_tested = len(adj)
+    # below min size 4 a pair costs about 8 times the clique growth (see FORK_MIN_SEEDS)
+    weight = 8 if min_report <= 3 else 1
+    jobs = cpus if weight * len(adj) >= FORK_MIN_PAIRS else 1
     count = 0
     with closing(fork_map(grow, seed_blocks(limit, jobs), jobs)) as parts:
         for found, best, nodes, cands in parts:

@@ -814,6 +814,27 @@ SEARCH_FLAGS = {
 }
 
 
+def _run_fuzzed(argv, budget):
+    """main(argv)'s exit code and stdout, checked as every fuzzed argv must be.
+
+    It ends within budget seconds with exit 0, 1 or 2, never an internal
+    error, and prints nothing on exit 2.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    assert time.perf_counter() - start < budget
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    return code, out.getvalue()
+
+
 @given(flags=st.fixed_dictionaries({k: SEARCH_FLAGS[k] for k in ("--n", "--limit")},
                                    optional={k: SEARCH_FLAGS[k] for k in ("--min-size",
                                                                           "--max-results")}),
@@ -822,20 +843,57 @@ SEARCH_FLAGS = {
 def test_fuzzed_search_argv_never_crashes(flags, dropped):
     flags.pop(dropped, None)
     argv = ["search", *(part for flag, value in flags.items() for part in (flag, value))]
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refused the arguments
-            code = exc.code
-    assert time.perf_counter() - start < 10  # the budget; the slowest takes about 0.5 s
-    assert code in (0, 1, 2), err.getvalue()
-    assert "internal error" not in err.getvalue()
+    code, out = _run_fuzzed(argv, 10)  # the budget; the slowest takes about 0.5 s
+    if code != 2:
+        assert json.loads(out.splitlines()[-1])["record"] == "search_summary"
+
+
+# fuzzing the bounds' argv: one n or a grid of them, with one epsilon, a
+# grid of them or --theorem1. The n include 0, +-1, duplicates and ints
+# near the 4 300-digit limit; the epsilons include malformed rationals and
+# values just outside [2^-1024, 1]
+
+_BOUNDS_N = st.one_of(st.integers(-300, -1), st.integers(1, 300),
+                     st.builds(lambda sign, k: sign * 10**k, st.sampled_from((1, -1)),
+                               st.integers(1, 4299)))
+_EPSILON = st.one_of(st.sampled_from(("1", "1/2", "2/4", "0.5", "1/10", "0.001", "3/7")),
+                     st.integers(1, 2**64).map(lambda q: f"1/{q}"), st.just(f"1/{2**1024}"))
+_BAD_EPSILON = st.sampled_from(("0", "2", "-1/2", "1/0", "1e-3", "1/3/4", " 1", "1.", ".5",
+                                f"1/{2**1024 + 1}", "0." + "0" * 400 + "1"))
+
+
+def _grid(valid, *invalid, longest):
+    # two grids in three all valid; the rest hold one bad entry among valid ones
+    items = st.integers(1, longest).flatmap(
+        lambda size: st.lists(valid.map(str), min_size=size, max_size=size))
+    bad = st.one_of(*invalid, _HUGE_INT_TEXT, _NOT_INT_TEXT)
+    spoiled = st.builds(lambda good, at, entry: good[:at] + [entry] + good[at:],
+                        items, st.integers(0, longest), bad)
+    return st.one_of(items, items, spoiled).map(",".join)
+
+
+@given(n=st.one_of(st.tuples(st.just("--n"), _flag(_BOUNDS_N, st.just("0"))),
+                   st.tuples(st.just("--n-grid"), _grid(_BOUNDS_N, st.just("0"), longest=60)),
+                   st.just(None)),
+       eps=st.one_of(st.tuples(st.just("--eps"), _flag(_EPSILON, _BAD_EPSILON)),
+                     st.tuples(st.just("--eps-grid"), _grid(_EPSILON, _BAD_EPSILON, longest=30)),
+                     st.just(("--theorem1", None)), st.just(None)),
+       both=st.sampled_from((False,) * 5 + (True,)))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_bounds_argv_never_crashes(n, eps, both):
+    argv = ["bounds", *(flag if value is None else f"{flag}={value}"
+                        for flag, value in filter(None, (n, eps)))]
+    if both and eps is not None and eps[0] != "--theorem1":
+        argv.append("--theorem1")  # two of the exclusive epsilon flags
+    code, out = _run_fuzzed(argv, 5)  # the budget; the slowest takes under 0.1 s
     if code == 2:
-        assert out.getvalue() == ""
-    else:
-        assert json.loads(out.getvalue().splitlines()[-1])["record"] == "search_summary"
+        return
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()[1:]]
+    ns = {int(v) for v in n[1].split(",")}
+    epsilons = {parse_epsilon(v) for v in eps[1].split(",")} if eps[1] else {None}
+    assert len(rows) == len(ns) * len(epsilons)
+    assert [row["n"] for row in rows] == sorted(v for v in ns for _ in epsilons)
 
 
 # the one parser of epsilon strings, for --eps, --eps-grid and bound records

@@ -194,8 +194,8 @@ def test_every_reported_tuple_is_verified():
 # seed-sharded searches: forked workers, identical reports
 
 
-def force_workers(monkeypatch, jobs):
-    """Shard every search over jobs workers; return the (jobs, blocks) of each fork_map."""
+def spy_fork_map(monkeypatch, jobs):
+    """Give searches jobs CPUs; return the (jobs, blocks) of each fork_map."""
     calls = []
     fork_map = search.fork_map
 
@@ -203,10 +203,19 @@ def force_workers(monkeypatch, jobs):
         calls.append((jobs, len(blocks)))
         return fork_map(fn, blocks, jobs)
 
-    monkeypatch.setattr(search, "FORK_MIN_LIMIT", 1)
     monkeypatch.setattr(search, "usable_cpus", lambda: jobs)
     monkeypatch.setattr(search, "fork_map", spy)
     return calls
+
+
+def force_workers(monkeypatch, jobs, split=False):
+    """Shard every stage of every search over jobs workers, or stage 2 alone if split.
+
+    Returns the (jobs, blocks) of each fork_map.
+    """
+    monkeypatch.setattr(search, "FORK_MIN_SEEDS", MAX_LIMIT + 1 if split else 0)
+    monkeypatch.setattr(search, "FORK_MIN_PAIRS", 0)
+    return spy_fork_map(monkeypatch, jobs)
 
 
 def walked(n, limit):
@@ -231,6 +240,44 @@ def test_seed_blocks_cover_the_seeds_in_order():
     blocks = search.seed_blocks(10**6, 2)
     assert len(blocks) > search.BLOCKS_PER_WORKER
     assert blocks[0] == (1, 4) and blocks[-1] == (976_746, 10**6 + 1)
+
+
+@pytest.mark.parametrize("n, limit, min_size, live, pairs, forks", [
+    (4, 6000, 3, 1500, 28557, [1, 2]),  # the report pipeline's searches:
+    (9, 6000, 3, 1500, 27855, [1, 2]),  # stage 2 alone is forked
+    (-2, 10_000, 4, 557, 6747, [1, 1]),  # small and sparse: neither
+    (-2, 40_000, 3, 2047, 27007, [1, 2]),
+    (-2, 40_000, 4, 2047, 27007, [1, 1]),  # the same pairs at min size 4
+    # every seed has a root for a square n: one seed either side of the floor
+    (4, 4 * search.FORK_MIN_SEEDS - 4, 4, search.FORK_MIN_SEEDS - 1, 85673, [1, 1]),
+    (4, 4 * search.FORK_MIN_SEEDS, 4, search.FORK_MIN_SEEDS, 85697, [2, 1]),
+    (-2, 300_000, 4, 13855, 202555, [2, 2]),  # the sparse benchmark's: both
+])
+def test_each_stage_forks_by_its_own_work(monkeypatch, n, limit, min_size, live, pairs, forks):
+    # the real floors on 2 CPUs: stage 1 forks from FORK_MIN_SEEDS live
+    # seeds, stage 2 from FORK_MIN_PAIRS pairs, each counted 8 times below
+    # min size 4
+    class Stage2(Exception):
+        pass
+
+    calls = spy_fork_map(monkeypatch, 2)
+    fork_map = search.fork_map
+
+    def stop_at_stage_2(fn, blocks, jobs):
+        if calls:  # stage 1 has run; the decision for stage 2 is all this needs
+            calls.append((jobs, len(blocks)))
+            raise Stage2
+        return fork_map(fn, blocks, jobs)
+
+    monkeypatch.setattr(search, "fork_map", stop_at_stage_2)
+    low = walked(n, limit)
+    assert RootTable(n, smallest_factor_sieve(limit)).solvable(low).count(1) == live
+    report = SearchReport(SearchConfig(n, limit, min_size))
+    with pytest.raises(Stage2):
+        next(search.stream_maximal(report))
+    assert report.candidates_tested == pairs
+    assert calls == [(forks[0], len(search.seed_blocks(low, forks[0]))),
+                     (forks[1], len(search.seed_blocks(limit, forks[1])))]
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -310,11 +357,12 @@ CAPPED_COUNTERS = [
 ]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs, split", [(1, False), (2, False), (2, True)],
+                         ids=["1", "2", "2-split"])
 @pytest.mark.parametrize("case", CAPPED_COUNTERS, ids=lambda c: "n%d-%d-min%d-cap%d" % c[:4])
-def test_capped_search_counters_are_pinned(monkeypatch, jobs, case):
+def test_capped_search_counters_are_pinned(monkeypatch, jobs, split, case):
     n, limit, min_size, cap, nodes, cands, best, exceeded, count, last, digest = case
-    force_workers(monkeypatch, jobs)
+    force_workers(monkeypatch, jobs, split)
     report = search_maximal(SearchConfig(n=n, limit=limit, min_report_size=min_size,
                                          max_results=cap))
     elements = found_elements(report)
@@ -363,14 +411,17 @@ def test_search_output_is_the_same_at_any_worker_count(monkeypatch, capsys, tmp_
         argv += ["--max-results", str(cap)]
     out = tmp_path / "s.jsonl"
     outputs = []
-    for jobs in (1, 2, 3):
-        force_workers(monkeypatch, jobs)
-        assert cli.main(argv) == 0
-        outputs.append(capsys.readouterr())
-        assert cli.main([*argv, "--out", str(out)]) == 0
-        assert capsys.readouterr() == ("", outputs[-1].err)
-        assert out.read_text(encoding="utf-8") == outputs[-1].out
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # both stages in the workers, then stage 1 in this process and stage 2 in the workers
+    for split in (False, True):
+        for jobs in (1, 2, 3):
+            calls = force_workers(monkeypatch, jobs, split)
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            assert capsys.readouterr() == ("", outputs[-1].err)
+            assert out.read_text(encoding="utf-8") == outputs[-1].out
+            assert [c[0] for c in calls] == [1 if split else jobs, jobs] * 2
+    assert all(output == outputs[0] for output in outputs)
     # the summary counts the records written, and matches the collected report
     text = outputs[0].out
     summary = json.loads(text.splitlines()[-1])
@@ -460,7 +511,7 @@ def run_script(script, *args):
 FORCE_FORK = ("import sys\n"
               "from dntuple import cli, search\n"
               "if sys.argv[1] == 'forked':\n"
-              "    search.FORK_MIN_LIMIT = 1\n"
+              "    search.FORK_MIN_SEEDS = search.FORK_MIN_PAIRS = 0\n"
               "    search.usable_cpus = lambda: 2\n")
 
 
