@@ -32,13 +32,16 @@ from .audits import (
 from .bounds import NotApplicableError, bound_grid, m_bound_report, thresholds
 from .search import SearchConfig, SearchReport, stream_maximal
 from .serialize import (
-    ARTIFACT_VERSION,
-    RunManifest,
+    SEARCH_KINDS,
+    audit_summary_to_obj,
     bound_report_to_obj,
     canonical_json,
+    extension_to_obj,
+    failure_to_obj,
     fraction_str,
     gap_record_to_obj,
     lemma2_to_obj,
+    manifest_to_obj,
     parse_epsilon,
     read_jsonl,
     render_csv,
@@ -46,6 +49,8 @@ from .serialize import (
     tuple_fields,
     tuple_from_obj,
     tuple_to_obj,
+    utf8_lines,
+    witness_missing_to_obj,
     witness_to_obj,
     write_csv,
     write_jsonl,
@@ -74,36 +79,11 @@ def _checks_arg(s: str) -> tuple[str, ...]:
     return tuple(c for c in _CHECKS if c in requested)
 
 
-def _lines(blob: bytes) -> Iterator[str]:
-    """The lines of a UTF-8 file, each with its "\n", decoded one at a time.
-
-    Only "\n" ends a line, as in io.StringIO; str.splitlines() would also
-    split on "\r", "\x0b", "\u2028" and others, which canonical JSON
-    writes only escaped but a hand-edited file may hold raw in a string.
-    No byte of a multi-byte UTF-8 sequence is "\n", so decoding line by
-    line reads the text that decoding the whole file would, without a
-    second copy of the file.
-    """
-    start = line_no = 0
-    while start < len(blob):
-        end = blob.find(b"\n", start) + 1 or len(blob)
-        line_no += 1
-        try:
-            line = blob[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"line {line_no}: input is not UTF-8: {exc}") from exc
-        yield line
-        start = end
-
-
-_SEARCH_KINDS = ("dtuple", "search_summary")
-
-
 def _records(blob: bytes, path: str, kinds: tuple[str, ...]) -> Iterator[dict]:
     """The records of blob, one at a time; at the end, InputError if none was of kinds."""
     # a file with none of these records is the wrong file, not an empty one
     found = False
-    for rec in read_jsonl(_lines(blob)):
+    for rec in read_jsonl(utf8_lines(blob)):
         found = found or rec.get("record") in kinds
         yield rec
     if not found:
@@ -111,20 +91,13 @@ def _records(blob: bytes, path: str, kinds: tuple[str, ...]) -> Iterator[dict]:
 
 
 def _manifest(command: str, parameters: dict[str, Any], timestamps: bool,
-              *input_blobs: bytes) -> RunManifest:
+              *input_blobs: bytes) -> dict:
     digest = hashlib.sha256()
     digest.update(canonical_json({"command": command, "parameters": parameters}).encode())
     for blob in input_blobs:
         digest.update(blob)
     now = datetime.now(timezone.utc).isoformat() if timestamps else None
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        artifact_version=ARTIFACT_VERSION,
-        input_digest=digest.hexdigest(),
-        started=now,
-        finished=now,
-    )
+    return manifest_to_obj(command, parameters, digest.hexdigest(), now)
 
 
 def _output(args, write) -> None:
@@ -151,7 +124,7 @@ def _output(args, write) -> None:
         raise
 
 
-def _emit(args, objs: Iterable[dict], manifest: RunManifest) -> None:
+def _emit(args, objs: Iterable[dict], manifest: dict) -> None:
     """Write the manifest, then each record as it is made."""
     def write(fh):
         # one call per record keeps each call's records a sized batch, which
@@ -163,22 +136,11 @@ def _emit(args, objs: Iterable[dict], manifest: RunManifest) -> None:
     _output(args, write)
 
 
-def _failure_obj(fail: VerificationFailure) -> dict:
-    a, b = fail.pair
-    return {
-        "record": "verification_failure",
-        "n": fail.n,
-        "elements": list(fail.elements),
-        "pair": [a, b],
-        "reason": f"{a}*{b}+{fail.n} is not a perfect square",
-    }
-
-
-def _emit_for_tuple(args, manifest: RunManifest, records) -> int:
+def _emit_for_tuple(args, manifest: dict, records) -> int:
     """Verify --elements under --n and emit records(tuple), or the failure and return 1."""
     result = verify(args.elements, args.n)
     if isinstance(result, VerificationFailure):
-        _emit(args, [_failure_obj(result)], manifest)
+        _emit(args, [failure_to_obj(result)], manifest)
         return 1
     _emit(args, records(result), manifest)
     return 0
@@ -196,14 +158,14 @@ def cmd_verify(args) -> int:
 
         def verified():
             nonlocal bad
-            for rec in _records(blob, args.from_search, _SEARCH_KINDS):
+            for rec in _records(blob, args.from_search, SEARCH_KINDS):
                 if rec.get("record") != "dtuple":
                     continue
                 n, elements = tuple_fields(rec)
                 result = verify(elements, n)
                 if isinstance(result, VerificationFailure):
                     bad += 1
-                    yield _failure_obj(result)
+                    yield failure_to_obj(result)
                 else:
                     yield tuple_to_obj(result)
 
@@ -220,9 +182,8 @@ def cmd_verify(args) -> int:
 def cmd_extend(args) -> int:
     params = {"n": args.n, "elements": list(args.elements), "lo": args.lo, "hi": args.hi}
     manifest = _manifest("extend", params, args.timestamps)
-    return _emit_for_tuple(args, manifest, lambda t: [{
-        "record": "extension", "n": args.n, "elements": list(t.elements),
-        "lo": args.lo, "hi": args.hi, "extensions": extend(t, args.lo, args.hi)}])
+    return _emit_for_tuple(args, manifest, lambda t: [
+        extension_to_obj(t, args.lo, args.hi, extend(t, args.lo, args.hi))])
 
 
 def cmd_search(args) -> int:
@@ -259,7 +220,7 @@ def cmd_audit(args) -> int:
     params = {"checks": list(args.checks), "corpus": path}
     manifest = _manifest("audit", params, args.timestamps, blob)
     # a seed corpus must hold a tuple; a search may have found none
-    records = _records(blob, path, _SEARCH_KINDS if args.from_search else ("dtuple",))
+    records = _records(blob, path, SEARCH_KINDS if args.from_search else ("dtuple",))
 
     tuples = 0
     failures = 0
@@ -303,23 +264,13 @@ def cmd_audit(args) -> int:
                         w = find_witness_e(tri)
                     except WitnessNotFoundError:
                         failures += 1
-                        yield {
-                            "record": "witness_missing",
-                            "n": tri.n,
-                            "elements": list(tri.elements),
-                        }
+                        yield witness_missing_to_obj(tri)
                     else:
                         checked["lemma3"] += 1
                         yield witness_to_obj(tri, w)
 
-        yield {
-            "record": "audit_summary",
-            "tuples": tuples,
-            "checked": checked,
-            "skipped_precondition": skipped,
-            "failures": failures,
-            "vacuous_gap_checks": bool(gap_checks) and gap_applicable == 0,
-        }
+        yield audit_summary_to_obj(tuples, checked, skipped, failures,
+                                   bool(gap_checks) and gap_applicable == 0)
 
     _emit(args, audited(), manifest)
     return 1 if failures else 0
@@ -351,7 +302,7 @@ def cmd_report(args) -> int:
         blob = fh.read()
     params = {"in": args.infile, "format": args.format}
     manifest = _manifest("report", params, args.timestamps, blob)
-    records = read_jsonl(_lines(blob))
+    records = read_jsonl(utf8_lines(blob))
     if args.format == "json-lines":
         _emit(args, records, manifest)
         return 0

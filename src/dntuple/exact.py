@@ -10,16 +10,6 @@ from __future__ import annotations
 import math
 
 
-def integer_sqrt(x: int) -> int:
-    """Floor of the square root of a nonnegative integer.
-
-    Satisfies r*r <= x < (r+1)*(r+1), at any size.
-    """
-    if x < 0:
-        raise ValueError(f"integer_sqrt of negative value {x}")
-    return math.isqrt(x)
-
-
 def square_root_if_square(x: int) -> int | None:
     """The exact square root of x, or None when x is not a perfect square.
 

@@ -1,19 +1,21 @@
-"""Canonical object forms and byte-stable CSV / JSON-lines emission.
+"""Every record: its object form, its byte-stable emission and its reading.
 
-Every record is a flat JSON object with a "record" tag; files are one
-record per line, manifest first. Emission is deterministic: sorted keys,
-compact separators, rationals as "p/q" with the reduced denominator
-always present, floats via repr (shortest round-trip, '.' decimal, no
-locale). Integers print in plain decimal however large, so consumers
-must not assume 64-bit range.
+The *_to_obj builders make each record a command writes, manifest_to_obj
+its header; utf8_lines, read_jsonl and render_csv read record files
+back. The CLI only routes. Every record is a flat JSON object with a
+"record" tag; files are one record per line, manifest first. Emission is
+deterministic: sorted keys, compact separators, rationals as "p/q" with
+the reduced denominator always present, floats via repr (shortest
+round-trip, '.' decimal, no locale). Integers print in plain decimal
+however large, so consumers must not assume 64-bit range.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -60,32 +62,23 @@ def parse_epsilon(s: Any) -> Fraction:
         raise InputError(f"epsilon {s[:32]!r} has a zero denominator") from None
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance header embedded at the top of every emitted file.
+def manifest_to_obj(command: str, parameters: Mapping[str, Any], input_digest: str,
+                    stamp: str | None) -> dict:
+    """The provenance header at the top of every emitted file.
 
-    Timestamps stay None unless explicitly requested, so reruns with
-    equal inputs emit identical bytes; the digest covers the command and
-    its fully resolved parameters.
+    The digest covers the command, its fully resolved parameters and its
+    input files. stamp, the wall-clock time, stays None unless requested,
+    so reruns with equal inputs emit identical bytes.
     """
-
-    command: str
-    parameters: Mapping[str, Any]
-    artifact_version: str
-    input_digest: str
-    started: str | None = None
-    finished: str | None = None
-
-    def to_obj(self) -> dict:
-        return {
-            "record": "manifest",
-            "command": self.command,
-            "parameters": dict(self.parameters),
-            "artifact_version": self.artifact_version,
-            "input_digest": self.input_digest,
-            "started": self.started,
-            "finished": self.finished,
-        }
+    return {
+        "record": "manifest",
+        "command": command,
+        "parameters": dict(parameters),
+        "artifact_version": ARTIFACT_VERSION,
+        "input_digest": input_digest,
+        "started": stamp,
+        "finished": stamp,
+    }
 
 
 def tuple_to_obj(t: DTuple) -> dict:
@@ -94,6 +87,28 @@ def tuple_to_obj(t: DTuple) -> dict:
         "n": t.n,
         "elements": list(t.elements),
         "witnesses": [[w.a, w.b, w.r] for w in t.witnesses],
+    }
+
+
+def failure_to_obj(fail: VerificationFailure) -> dict:
+    a, b = fail.pair
+    return {
+        "record": "verification_failure",
+        "n": fail.n,
+        "elements": list(fail.elements),
+        "pair": [a, b],
+        "reason": f"{a}*{b}+{fail.n} is not a perfect square",
+    }
+
+
+def extension_to_obj(t: DTuple, lo: int, hi: int, extensions: list[int]) -> dict:
+    return {
+        "record": "extension",
+        "n": t.n,
+        "elements": list(t.elements),
+        "lo": lo,
+        "hi": hi,
+        "extensions": extensions,
     }
 
 
@@ -136,6 +151,10 @@ def witness_to_obj(triple: DTuple, w: LemmaThreeWitness) -> dict:
     }
 
 
+def witness_missing_to_obj(triple: DTuple) -> dict:
+    return {"record": "witness_missing", "n": triple.n, "elements": list(triple.elements)}
+
+
 def gap_record_to_obj(rec: GapAuditRecord) -> dict:
     obj: dict[str, Any] = {
         "record": "gap_audit",
@@ -158,6 +177,18 @@ def lemma2_to_obj(quad: DTuple, verdict: Lemma2Verdict) -> dict:
         "n": quad.n,
         "elements": list(quad.elements),
         "verdict": verdict.value,
+    }
+
+
+def audit_summary_to_obj(tuples: int, checked: Mapping[str, int], skipped: int,
+                         failures: int, vacuous_gap_checks: bool) -> dict:
+    return {
+        "record": "audit_summary",
+        "tuples": tuples,
+        "checked": dict(checked),
+        "skipped_precondition": skipped,
+        "failures": failures,
+        "vacuous_gap_checks": vacuous_gap_checks,
     }
 
 
@@ -208,9 +239,9 @@ def bound_report_to_obj(rep: BoundReport) -> dict:
 
 
 def write_jsonl(stream: TextIO, objs: Iterable[Mapping[str, Any]],
-                manifest: RunManifest | None = None) -> None:
+                manifest: Mapping[str, Any] | None = None) -> None:
     if manifest is not None:
-        stream.write(canonical_json(manifest.to_obj()) + "\n")
+        stream.write(canonical_json(manifest) + "\n")
     for obj in objs:
         stream.write(canonical_json(obj) + "\n")
 
@@ -238,6 +269,24 @@ def _nests_deeper(obj: Any, depth: int) -> bool:
         level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)
                  if isinstance(v, (dict, list))]
     return bool(level)
+
+
+def utf8_lines(blob: bytes) -> Iterator[str]:
+    """The lines of a UTF-8 file's bytes, each with its "\n", decoded one at a time.
+
+    Only "\n" ends a line, as in io.StringIO; str.splitlines() would also
+    split on "\r", "\x0b", "\u2028" and others, which canonical JSON
+    writes only escaped but a hand-edited file may hold raw in a string.
+    No byte of a multi-byte UTF-8 sequence is "\n", so decoding line by
+    line reads the text that decoding the whole file would, and
+    io.BytesIO shares blob rather than copying it.
+    """
+    for line_no, raw in enumerate(io.BytesIO(blob), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"line {line_no}: input is not UTF-8: {exc}") from exc
+        yield line
 
 
 def read_jsonl(lines: Iterable[str]) -> Iterator[dict]:
@@ -270,20 +319,18 @@ def _csv_cell(value: Any) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return fraction_str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[Any]],
-              manifest: RunManifest | None = None) -> None:
+              manifest: Mapping[str, Any] | None = None) -> None:
     # hand-rolled on purpose: every cell is digits, '+', '/', '.', '-'
     # or a known token, so no quoting is ever needed and the byte output
     # stays trivially deterministic ('\n' endings, no locale)
     if manifest is not None:
-        stream.write("# " + canonical_json(manifest.to_obj()) + "\n")
+        stream.write("# " + canonical_json(manifest) + "\n")
     stream.write(",".join(header) + "\n")
     for row in rows:
         cells = [_csv_cell(v) for v in row]
@@ -292,6 +339,9 @@ def write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[Any
                 raise InputError(f"cell needs quoting, refusing: {cell!r}")
         stream.write(",".join(cells) + "\n")
 
+
+# the records of a search output, besides its manifest
+SEARCH_KINDS = ("dtuple", "search_summary")
 
 SEARCH_CSV_HEADER = ("n", "size", "elements")
 AUDIT_CSV_HEADER = ("n", "elements", "check", "margin", "verdict")
@@ -344,7 +394,6 @@ def render_csv(records: Iterable[Mapping[str, Any]]) -> tuple[tuple, list[tuple]
     the end, or when a later line faults while every kind so far is a
     search kind: the first fault in file order is reported.
     """
-    search_kinds = {"manifest", "dtuple", "search_summary"}
     audit_kinds = ("gap_audit", "lemma2", "witness", "witness_missing")
     kinds = set()
     checked: list[tuple] = []  # (n, elements_str of the record's elements, verified)
@@ -373,17 +422,17 @@ def render_csv(records: Iterable[Mapping[str, Any]]) -> tuple[tuple, list[tuple]
                        obj.get("m_leading"), obj.get("m_certified"))
                 bounds.append(((row[0], parse_epsilon(row[1])), row))
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-        if failure is not None and kinds <= search_kinds:
+        if failure is not None and (kinds - {"manifest"}).issubset(SEARCH_KINDS):
             raise failure from exc
         if isinstance(exc, InputError):
             raise
         raise InputError(f"malformed record: {exc!r}") from exc
 
     kinds.discard("manifest")
-    if failure is not None and kinds <= search_kinds:
+    if failure is not None and kinds.issubset(SEARCH_KINDS):
         raise failure
     try:
-        if kinds <= search_kinds:
+        if kinds.issubset(SEARCH_KINDS):
             # every tuple verified, so sorting the sources sorts by (n, elements)
             if unsorted:
                 checked = [(n, elements_str(sorted(_ints(els))), ok) for n, els, ok in checked]

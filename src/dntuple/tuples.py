@@ -6,11 +6,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ceil_sqrt, integer_sqrt, pow_compare, square_root_if_square
+from .exact import ceil_sqrt, pow_compare, square_root_if_square
 from .residues import walk
 
 
@@ -195,7 +196,7 @@ def extenders(candidates: Iterable[int], members: Container[int],
             and all(square_root_if_square(x * d + n) is not None for x in rest))
 
 
-# the most square root values a candidates_in_window window may span:
+# the most square root values a window_parts window may span:
 # extend() over 10**7 of them takes about 6 s on 2 vCPUs, and windows far
 # past it would run for hours
 MAX_WINDOW_STEPS = 10**7
@@ -205,23 +206,15 @@ MAX_WINDOW_STEPS = 10**7
 PART_STEPS = 1 << 16
 
 
-def candidates_in_window(a: int, n: int, lo: int, hi: int) -> list[int]:
-    """All d in [lo, hi] with a*d + n a perfect square, ascending.
+def window_parts(a: int, n: int, lo: int, hi: int) -> Iterator[list[int]]:
+    """All d in [lo, hi] with a*d + n a perfect square, in ascending parts.
 
     The square roots t = sqrt(a*d + n) run over ceil(sqrt(max(0, a*lo+n)))
     .. floor(sqrt(a*hi+n)); a window of more than MAX_WINDOW_STEPS values
-    is refused with InputError. One period of t finds the classes t mod a
-    that divide, and residues.walk steps through them.
-    """
-    return [d for part in window_parts(a, n, lo, hi) for d in part]
-
-
-def window_parts(a: int, n: int, lo: int, hi: int) -> Iterator[list[int]]:
-    """candidates_in_window(a, n, lo, hi) in ascending parts of the window.
-
-    The input checks and the one-period scan run before the first part;
-    each part then walks the same classes over at most PART_STEPS
-    consecutive square roots.
+    is refused with InputError. The input checks and one period of t,
+    which finds the classes t mod a that divide, run before the first
+    part; each part then walks those classes with residues.walk over at
+    most PART_STEPS consecutive square roots.
     """
     if a < 1:
         raise InputError(f"a must be a positive integer, got {a}")
@@ -233,7 +226,7 @@ def window_parts(a: int, n: int, lo: int, hi: int) -> Iterator[list[int]]:
     if hi_val < 0:
         return iter(())
     t_lo = ceil_sqrt(max(0, a * lo + n))
-    t_hi = integer_sqrt(hi_val)
+    t_hi = math.isqrt(hi_val)
     if t_hi - t_lo + 1 > MAX_WINDOW_STEPS:
         # no values in the message: str() of an int past 4 300 digits raises
         raise InputError(f"window spans more than {MAX_WINDOW_STEPS} square roots of a*d + n")

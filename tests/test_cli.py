@@ -9,10 +9,12 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from constructed_corpus import constructed_quadruples, corpus_text
 from dntuple.cli import main
 from dntuple.search import MAX_LIMIT, SearchConfig, search_maximal
 from dntuple.serialize import (
@@ -176,6 +178,27 @@ def test_audit_seeded_quad(tmp_path, capsys):
     assert {r.get("corollary_margin") for r in gap} >= {"6052/9"}
     assert recs[-1]["failures"] == 0
     assert recs[-1]["vacuous_gap_checks"] is False
+
+
+def test_audit_of_a_constructed_corpus_where_every_lemma_applies(tmp_path, capsys):
+    # Lemma 2 passes on the chain quadruples for n = 1, 4 and 9, and Lemma 5
+    # and Corollary 4 on the four m (k - 1, k + 1, 4k, 16k^3 - 4k)
+    corpus = tmp_path / "constructed.jsonl"
+    corpus.write_text(corpus_text(), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "audit", "--seed-corpus", str(corpus))
+    assert code == 0
+    recs = records_of(out)
+    summary = recs[-1]
+    assert summary["record"] == "audit_summary"
+    assert (summary["tuples"], summary["failures"]) == (7, 0)
+    assert summary["vacuous_gap_checks"] is False
+    assert summary["checked"] == {"lemma5": 4, "corollary4": 4, "lemma2": 7, "lemma3": 28}
+    assert sorted(r["n"] for r in recs if r.get("verdict") == "pass") == [1, 4, 9]
+    gap = [r for r in recs if r["record"] == "gap_audit"]
+    assert len(gap) == 8
+    assert all(v == "pass" for r in gap for v in r["verdicts"].values())
+    assert sum(r["record"] == "witness" for r in recs) == 7 * 4  # every triple
+    assert not any(r["record"] == "witness_missing" for r in recs)
 
 
 def test_audit_verifies_each_tuple_record_once(tmp_path, capsys, monkeypatch):
@@ -896,6 +919,104 @@ def test_fuzzed_bounds_argv_never_crashes(n, eps, both):
     assert [row["n"] for row in rows] == sorted(v for v in ns for _ in epsilons)
 
 
+# fuzzing the argv of the commands that take a tuple: --elements lists
+# long and short, of 2 to 4 members of a known tuple or of drawn integers,
+# and --lo/--hi windows on both sides of MAX_WINDOW_STEPS, patched down so
+# that the widest accepted window stays fast
+
+_KNOWN_TUPLES = [(1, (1, 3, 8, 120)), (4, (42, 110, 288, 1331440)), (-1, (1, 2, 5)),
+                 *((q.n, q.elements) for q in constructed_quadruples())]
+_ELEMENT = st.one_of(st.integers(1, 10**6), st.builds(lambda k: 10**k, st.integers(1, 4299)))
+# 2, 3 or 4 members of a known tuple, in any order, so most draws verify
+_KNOWN_FLAGS = st.builds(lambda t, k, order: (str(t[0]), ",".join(
+    [str(t[1][i]) for i in order if i < len(t[1])][:k])),
+    st.sampled_from(_KNOWN_TUPLES), st.sampled_from((2, 3, 3, 4)), st.permutations(range(4)))
+_TUPLE_FLAGS = st.one_of(
+    _KNOWN_FLAGS, _KNOWN_FLAGS, _KNOWN_FLAGS,
+    st.tuples(SEARCH_FLAGS["--n"],
+              _grid(_ELEMENT, st.just("0"), st.just("-7"), st.just("3,3"), longest=80)))
+_WINDOW_CAP = 100  # square roots
+# the square roots of a*d + n run to isqrt(a*hi + n), so for a = 1 and lo
+# near 1, hi = (cap + t)^2 puts the window t square roots from the cap
+_WINDOW_END = st.integers(0, 7).flatmap(lambda k: st.integers(-10, 10**k))
+_WINDOW_LO = _flag(st.one_of(st.integers(-10, 10), _WINDOW_END), st.just(str(10**40)))
+_WINDOW_HI = _flag(st.one_of(st.integers(-3, 3).map(lambda t: (_WINDOW_CAP + t) ** 2),
+                             _WINDOW_END), st.just(str(10**40)))
+
+
+@pytest.mark.parametrize("command", ["verify", "extend", "witness"])
+@given(tuple_flags=_TUPLE_FLAGS, lo=_WINDOW_LO, hi=_WINDOW_HI,
+       dropped=st.sampled_from((None,) * 12 + ("--n", "--elements", "--lo")))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_tuple_argv_never_crashes(command, tuple_flags, lo, hi, dropped):
+    flags = dict(zip(("--n", "--elements"), tuple_flags))
+    if command == "extend":
+        flags.update({"--lo": lo, "--hi": hi})
+    flags.pop(dropped, None)
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    with mock.patch("dntuple.tuples.MAX_WINDOW_STEPS", _WINDOW_CAP):
+        code, out = _run_fuzzed(argv, 5)  # the budget; the slowest takes under 0.1 s
+    if code == 2:
+        return
+    rec = json.loads(out.splitlines()[1])
+    if code == 1:
+        assert rec["record"] == "verification_failure"
+    elif command == "extend":
+        assert all(max(int(lo), 1) <= d <= int(hi) for d in rec["extensions"])
+    else:
+        assert rec["record"] == {"verify": "dtuple", "witness": "witness"}[command]
+
+
+# fuzzing the argv of the commands that read a record file: each of the
+# pipeline's outputs, a constructed seed corpus or a path that does not
+# exist, verify's two modes mixed, and --checks lists empty, unknown or
+# repeated
+
+_CHECKS_FLAG = st.one_of(st.just(","), st.lists(
+    st.sampled_from(("lemma5", "corollary4", "lemma2", "lemma3", "lemma9", "", " ")),
+    max_size=6).map(",".join))
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("records")
+    paths = {kind: str(root / f"{kind}.jsonl") for kind in ("search", "verify", "audit", "bounds")}
+    for argv in (["search", "--n", "4", "--limit", "300"],
+                 ["verify", "--from-search", paths["search"]],
+                 ["audit", "--from-search", paths["search"]],
+                 ["bounds", "--n-grid", "16,-20", "--eps-grid", "1,1/3"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", paths[argv[0]]]) == 0
+    (root / "corpus.jsonl").write_text(corpus_text(), encoding="utf-8")
+    paths.update(corpus=str(root / "corpus.jsonl"), missing=str(root / "missing.jsonl"))
+    return paths
+
+
+@given(data=st.data(), command=st.sampled_from(("verify", "audit", "report")),
+       files=st.lists(st.sampled_from(("search", "search", "verify", "audit", "bounds",
+                                        "corpus", "corpus", "missing")), min_size=2, max_size=2),
+       count=st.sampled_from((1,) * 6 + (0, 2)))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_record_argv_never_crashes(record_files, data, command, files, count):
+    sources = {"verify": ("--from-search",), "audit": ("--from-search", "--seed-corpus"),
+               "report": ("--in",)}[command]
+    # one source mostly, none or both now and then, each reading one of the files
+    flags = {flag: record_files[kind]
+             for flag, kind in zip(data.draw(st.permutations(sources)), files[:count])}
+    if command == "verify" and data.draw(st.integers(0, 2 if count else 0)) == 0:
+        # the tuple mode, or now and then both modes
+        flags.update(zip(("--n", "--elements"), data.draw(_TUPLE_FLAGS)))
+    if command == "audit" and data.draw(st.booleans()):
+        flags["--checks"] = data.draw(_CHECKS_FLAG)
+    if command == "report":
+        flags["--format"] = data.draw(st.sampled_from(("csv", "json-lines", "xml")))
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    code, out = _run_fuzzed(argv, 5)  # the budget; the slowest takes under 0.2 s
+    if code != 2:
+        assert out.startswith("# {" if flags.get("--format") == "csv" else '{"artifact_version"')
+
+
 # the one parser of epsilon strings, for --eps, --eps-grid and bound records
 
 def test_parse_epsilon_takes_integers_fractions_and_plain_decimals():
@@ -997,6 +1118,24 @@ def test_a_line_that_is_not_utf8_is_a_fault_of_that_line(tmp_path, capsys, comma
     code, out, err = run_cli(capsys, *command, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: line 1: not a JSON record")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_record_commands_read_a_pipe(tmp_path, capsys):
+    # each command reads its input once, so a pipe serves as well as a file
+    search = tmp_path / "search.jsonl"
+    assert run_cli(capsys, "search", "--n", "1", "--limit", "200", "--min-size", "3",
+                   "--out", str(search))[0] == 0
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for command in RECORD_COMMANDS:
+        code, out, _ = run_cli(capsys, *command, str(search))
+        proc = subprocess.run([sys.executable, "-m", "dntuple.cli", *command, "/dev/stdin"],
+                              input=search.read_bytes(), capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (code, b""), command
+        # past the manifest line, whose parameters name the input
+        assert proc.stdout.decode().split("\n", 1)[1] == out.split("\n", 1)[1], command
 
 
 def test_only_newline_ends_a_record_line(tmp_path, capsys):

@@ -3,25 +3,9 @@ from hypothesis import given, strategies as st
 
 from dntuple.exact import (
     ceil_sqrt,
-    integer_sqrt,
     pow_compare,
     square_root_if_square,
 )
-
-
-def test_integer_sqrt_small_values():
-    assert [integer_sqrt(x) for x in range(10)] == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]
-
-
-def test_integer_sqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        integer_sqrt(-1)
-
-
-@given(st.integers(min_value=0, max_value=10**40))
-def test_integer_sqrt_floor_contract(x):
-    r = integer_sqrt(x)
-    assert r * r <= x < (r + 1) * (r + 1)
 
 
 @given(st.integers(min_value=0, max_value=10**20))

@@ -24,7 +24,7 @@ from dntuple.search import (
     empirical_max_size,
     search_maximal,
 )
-from dntuple.tuples import InputError, ZeroNError, candidates_in_window
+from dntuple.tuples import InputError, ZeroNError, window_parts
 
 
 def found_elements(report):
@@ -178,7 +178,7 @@ def test_candidates_for_brute_force(a, n, hi):
     # Partners of a in [1, hi], the range the search draws from.
     want = [d for d in range(1, hi + 1)
             if a * d + n >= 0 and math.isqrt(a * d + n) ** 2 == a * d + n]
-    assert candidates_in_window(a, n, 1, hi) == want
+    assert [d for part in window_parts(a, n, 1, hi) for d in part] == want
     # the search's roots, from the table rather than a scan of one period
     assert walk(a, n, RootTable(n, smallest_factor_sieve(a)).roots(a), 1, hi) == want
 

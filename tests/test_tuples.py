@@ -16,10 +16,10 @@ from dntuple.tuples import (
     NonPositiveElementError,
     VerificationFailure,
     ZeroNError,
-    candidates_in_window,
     classify,
     extend,
     verify,
+    window_parts,
 )
 
 
@@ -134,29 +134,33 @@ def test_extend_window_below_one_is_empty():
     assert extend(t, 1, 1) == []
 
 
+def window(a, n, lo, hi):  # every d of window_parts(a, n, lo, hi), in order
+    return [d for part in window_parts(a, n, lo, hi) for d in part]
+
+
 def test_candidates_in_window_frozen_example():
-    assert candidates_in_window(2, 2, 1, 100) == [1, 7, 17, 31, 49, 71, 97]
-    cands = candidates_in_window(3, 1, 1, 200)
+    assert window(2, 2, 1, 100) == [1, 7, 17, 31, 49, 71, 97]
+    cands = window(3, 1, 1, 200)
     assert 8 in cands and 120 in cands
 
 
 def test_candidates_in_window_rejects_bad_input():
     with pytest.raises(InputError):
-        candidates_in_window(0, 2, 1, 10)
+        window(0, 2, 1, 10)
     with pytest.raises(ZeroNError):
-        candidates_in_window(2, 0, 1, 10)
+        window(2, 0, 1, 10)
     with pytest.raises(InvalidRangeError):
-        candidates_in_window(2, 2, 10, 1)
+        window(2, 2, 10, 1)
 
 
 def test_candidates_in_window_refuses_a_window_above_the_cap(monkeypatch):
     # a = 1, n = 1, lo = 1: t runs from 2 to isqrt(hi + 1)
     with pytest.raises(InputError):
-        candidates_in_window(1, 1, 1, 10**38)
+        window(1, 1, 1, 10**38)
     monkeypatch.setattr(tuples, "MAX_WINDOW_STEPS", 10)
-    assert candidates_in_window(1, 1, 1, 142) == [t * t - 1 for t in range(2, 12)]
+    assert window(1, 1, 1, 142) == [t * t - 1 for t in range(2, 12)]
     with pytest.raises(InputError):
-        candidates_in_window(1, 1, 1, 143)
+        window(1, 1, 1, 143)
 
 
 @given(st.integers(min_value=1, max_value=40),
@@ -171,7 +175,7 @@ def test_candidates_in_window_matches_brute_force(a, n, lo, span, part):
             if a * d + n >= 0 and math.isqrt(a * d + n) ** 2 == a * d + n]
     # small parts split the window at many square roots
     with mock.patch.object(tuples, "PART_STEPS", part):
-        assert candidates_in_window(a, n, lo, hi) == want
+        assert window(a, n, lo, hi) == want
 
 
 @given(st.integers(min_value=-10, max_value=10).filter(lambda n: n != 0),
