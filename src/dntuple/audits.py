@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exact import pow_compare
 from .tuples import DTuple, InputError
@@ -41,8 +41,7 @@ class WitnessNotFoundError(RuntimeError):
         super().__init__(f"no witness e for {triple.elements} with n={triple.n}")
 
 
-@dataclass(frozen=True)
-class LemmaThreeWitness:
+class LemmaThreeWitness(NamedTuple):
     """Integers (e, x, y, z) tying a triple a<b<c together.
 
     With n the tuple's shift and r the root of a*b + n, a valid witness

@@ -4,7 +4,11 @@ Exit codes: 0 success, 1 verification or audit failure findings, 2 usage
 error or malformed input, 3 an unexpected internal error. All output
 goes through the canonical emitters, manifest first, so identical
 invocations produce identical bytes; timestamps are opt-in
-(--timestamps) precisely because they break that.
+(--timestamps) precisely because they break that. verify --from-search
+and audit run their per-record work over blocks of whole lines, in
+workers forked by search.fork_map once the input holds FORK_MIN_BYTES,
+and write the blocks' texts in file order, so their bytes do not depend
+on the number of workers either.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import itertools
 import os
 import sys
 import traceback
+from collections import Counter
 from datetime import datetime, timezone
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .audits import (
     Lemma2Verdict,
@@ -30,7 +35,7 @@ from .audits import (
     find_witness_e,
 )
 from .bounds import NotApplicableError, bound_grid, m_bound_report, thresholds
-from .search import SearchConfig, SearchReport, stream_maximal
+from .search import SearchConfig, SearchReport, fork_map, stream_maximal, usable_cpus
 from .serialize import (
     SEARCH_KINDS,
     audit_summary_to_obj,
@@ -41,6 +46,7 @@ from .serialize import (
     fraction_str,
     gap_record_to_obj,
     lemma2_to_obj,
+    line_blocks,
     manifest_to_obj,
     parse_epsilon,
     read_jsonl,
@@ -58,6 +64,44 @@ from .serialize import (
 from .tuples import InputError, VerificationFailure, extend, verify
 
 _CHECKS = ("lemma5", "corollary4", "lemma2", "lemma3")
+
+# the faults in the input or the arguments: exit 2
+_FAULTS = (InputError, NotApplicableError, PreconditionNotMetError)
+
+# verify --from-search and audit fork their per-record work from
+# FORK_MIN_BYTES of input. Forking costs about 8 ms (the workers, and the
+# pickle and signal imports), and the second CPU pays only when the host
+# has it free: a fresh interpreter that forks at once often finds it idle
+# and slow to start, while a chain of commands after a forked search
+# finds it running. CLI --out on 2 vCPUs, line-aligned prefixes of the
+# n = 4 search outputs at limits 6 000 (set a) and 2*10^4: one process /
+# forked ms, medians of 11 alternated fresh interpreters (7 where marked
+# *), and the runs the fork won.
+#   the command alone, four sets:      verify                audit
+#     a  100 KB                   18.4 /  29.8   0      27.8 /  40.5   0
+#     a  400 KB                   60.9 /  82.2   0      86.0 / 105.3   0
+#     a  1.27 MB                 166.7 / 193.6   2     256.7 / 273.7   1
+#     b  2.6 MB*                 521.5 / 309.1   7     658.0 / 437.6   7
+#     b  5.3 MB*                 962.1 / 604.9   7    1473.1 / 855.2   7
+#     c  400 KB                   60.8 /  75.4   1      92.9 / 104.4   0
+#     c  1.3 MB                  229.5 / 215.7   6     321.2 / 241.1  10
+#     d  700 KB                  185.5 / 204.9   1     215.2 / 236.6   3
+#     d  1.0 MB                  226.0 / 249.8   2     306.7 / 279.0   5
+#     d  1.3 MB                  287.2 / 168.5  11     372.8 / 245.9  11
+#   after a forked search (n = 4 at 6 000) in the same interpreter:
+#        50 KB                    12.1 /  16.3   1      22.3 /  21.5   6
+#        100 KB                   26.5 /  24.3   6      41.8 /  32.0  10
+#        200 KB                   46.7 /  36.8   8      70.6 /  53.0  10
+#        400 KB                   90.1 /  60.2  11      95.2 /  75.1  10
+#        1.3 MB                  260.0 / 162.5  11     390.4 / 226.7  11
+# Alone, a command lost to the fork up to 1.0 MB in every set, by up to
+# 25 ms, and won most runs from 1.3 MB in every set but a; after a search
+# the fork wins from about 200 KB. The floor sits between.
+FORK_MIN_BYTES = 1_000_000
+
+# line blocks per worker: fork_map's fixed stripes give worker w every
+# jobs-th block from w on, so each worker's blocks sample the whole file
+LINE_BLOCKS_PER_WORKER = 16
 
 
 def _elements_arg(s: str) -> tuple[int, ...]:
@@ -77,17 +121,6 @@ def _checks_arg(s: str) -> tuple[str, ...]:
             f"unknown checks {bad}; valid: {', '.join(_CHECKS)}")
     # canonical order regardless of how the flag listed them
     return tuple(c for c in _CHECKS if c in requested)
-
-
-def _records(blob: bytes, path: str, kinds: tuple[str, ...]) -> Iterator[dict]:
-    """The records of blob, one at a time; at the end, InputError if none was of kinds."""
-    # a file with none of these records is the wrong file, not an empty one
-    found = False
-    for rec in read_jsonl(utf8_lines(blob)):
-        found = found or rec.get("record") in kinds
-        yield rec
-    if not found:
-        raise InputError(f"{path} holds no {' or '.join(kinds)} record")
 
 
 def _manifest(command: str, parameters: dict[str, Any], timestamps: bool,
@@ -128,12 +161,79 @@ def _emit(args, objs: Iterable[dict], manifest: dict) -> None:
     """Write the manifest, then each record as it is made."""
     def write(fh):
         # one call per record keeps each call's records a sized batch, which
-        # perfbench's tracer counts, and its time the writing alone
+        # perfbench's tracer counts, and its time the writing alone; the
+        # block workers of _emit_by_block write the same way, and a forked
+        # worker's calls are counted in that worker, not here
         write_jsonl(fh, (), manifest)
         for obj in objs:
             write_jsonl(fh, (obj,))
 
     _output(args, write)
+
+
+def _emit_by_block(args, manifest: dict, blob: bytes, path: str, kinds: tuple[str, ...],
+                   run: Callable[[Iterator[dict], TextIO], Counter],
+                   summary: Callable[[Counter], dict] | None = None) -> Counter:
+    """Write the manifest, what run makes of each block of blob's lines, then the summary.
+
+    run(records, fh) reads the records of one block of whole lines, writes
+    the records it makes of them to fh, one write_jsonl call each as _emit
+    does, and returns the block's tally. The blocks run in workers forked
+    by search.fork_map once blob holds FORK_MIN_BYTES, each writing into
+    its own text buffer, and their texts are written in file order, so the
+    output is the same at any worker count. A fault in a block (an exit-2
+    error) comes back as its value and is raised when its block is
+    reached, so the first fault in file order is the one reported; so is,
+    after the last block, InputError if no record was of kinds. The tally
+    returned, and passed to summary(tally) for the record written last,
+    is the sum of the blocks' tallies.
+    """
+    cpus = usable_cpus() if hasattr(os, "fork") else 1
+    jobs = cpus if len(blob) >= FORK_MIN_BYTES else 1
+    blocks = line_blocks(blob, jobs * LINE_BLOCKS_PER_WORKER)
+    # the whole-file number of each block's first line
+    newlines = (blob.count(b"\n", lo, hi) for lo, hi in blocks)
+    first_line = dict(zip((lo for lo, _hi in blocks), itertools.accumulate(newlines, initial=1)))
+
+    def block(lo: int, hi: int) -> tuple[Exception | None, str, Counter, bool]:
+        # the block's fault or None, its text, its tally and whether it held
+        # a record of kinds
+        held = False
+
+        def records() -> Iterator[dict]:
+            nonlocal held
+            line = first_line[lo]
+            for rec in read_jsonl(utf8_lines(blob[lo:hi], line), line):
+                held = held or rec.get("record") in kinds
+                yield rec
+
+        out = io.StringIO()
+        try:
+            tally = run(records(), out)
+        except _FAULTS as exc:
+            return exc, "", Counter(), held
+        return None, out.getvalue(), tally, held
+
+    total = Counter()
+
+    def write(fh):
+        write_jsonl(fh, (), manifest)
+        found = False
+        with contextlib.closing(fork_map(block, blocks, jobs)) as parts:
+            for fault, text, tally, held in parts:
+                if fault is not None:
+                    raise fault
+                fh.write(text)
+                total.update(tally)
+                found = found or held
+        # a file with none of these records is the wrong file, not an empty one
+        if not found:
+            raise InputError(f"{path} holds no {' or '.join(kinds)} record")
+        if summary is not None:
+            write_jsonl(fh, (summary(total),))
+
+    _output(args, write)
+    return total
 
 
 def _emit_for_tuple(args, manifest: dict, records) -> int:
@@ -154,23 +254,23 @@ def cmd_verify(args) -> int:
             blob = fh.read()
         params = {"from_search": args.from_search}
         manifest = _manifest("verify", params, args.timestamps, blob)
-        bad = 0
 
-        def verified():
-            nonlocal bad
-            for rec in _records(blob, args.from_search, SEARCH_KINDS):
+        def verified(records, fh) -> Counter:
+            bad = 0
+            for rec in records:
                 if rec.get("record") != "dtuple":
                     continue
                 n, elements = tuple_fields(rec)
                 result = verify(elements, n)
                 if isinstance(result, VerificationFailure):
                     bad += 1
-                    yield failure_to_obj(result)
+                    write_jsonl(fh, (failure_to_obj(result),))
                 else:
-                    yield tuple_to_obj(result)
+                    write_jsonl(fh, (tuple_to_obj(result),))
+            return Counter(bad=bad)
 
-        _emit(args, verified(), manifest)
-        return 1 if bad else 0
+        tally = _emit_by_block(args, manifest, blob, args.from_search, SEARCH_KINDS, verified)
+        return 1 if tally["bad"] else 0
 
     if args.n is None or args.elements is None:
         raise InputError("verify needs --n and --elements (or --from-search)")
@@ -219,23 +319,16 @@ def cmd_audit(args) -> int:
         blob = fh.read()
     params = {"checks": list(args.checks), "corpus": path}
     manifest = _manifest("audit", params, args.timestamps, blob)
-    # a seed corpus must hold a tuple; a search may have found none
-    records = _records(blob, path, SEARCH_KINDS if args.from_search else ("dtuple",))
-
-    tuples = 0
-    failures = 0
-    skipped = 0
-    gap_applicable = 0
-    checked = {c: 0 for c in args.checks}
     gap_checks = [c for c in args.checks if c in ("lemma5", "corollary4")]
 
-    def audited():
-        nonlocal tuples, failures, skipped, gap_applicable
+    def audited(records, fh) -> Counter:
+        # tuples, failures, skipped, gap_applicable and one count per check
+        tally = Counter()
         for rec in records:
             if rec.get("record") != "dtuple":
                 continue
             t = tuple_from_obj(rec)
-            tuples += 1
+            tally["tuples"] += 1
             if gap_checks or "lemma2" in args.checks:
                 for quad_elems in itertools.combinations(t.elements, 4):
                     quad = t.subtuple(quad_elems)
@@ -244,36 +337,41 @@ def cmd_audit(args) -> int:
                         try:
                             gap = op(quad)
                         except PreconditionNotMetError:
-                            skipped += 1
+                            tally["skipped"] += 1
                             continue
-                        gap_applicable += 1
-                        checked[check] += 1
+                        tally["gap_applicable"] += 1
+                        tally[check] += 1
                         if not gap.passed:
-                            failures += 1
-                        yield gap_record_to_obj(gap)
+                            tally["failures"] += 1
+                        write_jsonl(fh, (gap_record_to_obj(gap),))
                     if "lemma2" in args.checks:
                         verdict = audit_lemma2(quad)
-                        checked["lemma2"] += 1
+                        tally["lemma2"] += 1
                         if verdict is Lemma2Verdict.FAIL:
-                            failures += 1
-                        yield lemma2_to_obj(quad, verdict)
+                            tally["failures"] += 1
+                        write_jsonl(fh, (lemma2_to_obj(quad, verdict),))
             if "lemma3" in args.checks:
                 for tri_elems in itertools.combinations(t.elements, 3):
                     tri = t.subtuple(tri_elems)
                     try:
                         w = find_witness_e(tri)
                     except WitnessNotFoundError:
-                        failures += 1
-                        yield witness_missing_to_obj(tri)
+                        tally["failures"] += 1
+                        write_jsonl(fh, (witness_missing_to_obj(tri),))
                     else:
-                        checked["lemma3"] += 1
-                        yield witness_to_obj(tri, w)
+                        tally["lemma3"] += 1
+                        write_jsonl(fh, (witness_to_obj(tri, w),))
+        return tally
 
-        yield audit_summary_to_obj(tuples, checked, skipped, failures,
-                                   bool(gap_checks) and gap_applicable == 0)
+    def summary(tally: Counter) -> dict:
+        return audit_summary_to_obj(tally["tuples"], {c: tally[c] for c in args.checks},
+                                    tally["skipped"], tally["failures"],
+                                    bool(gap_checks) and tally["gap_applicable"] == 0)
 
-    _emit(args, audited(), manifest)
-    return 1 if failures else 0
+    # a seed corpus must hold a tuple; a search may have found none
+    kinds = SEARCH_KINDS if args.from_search else ("dtuple",)
+    tally = _emit_by_block(args, manifest, blob, path, kinds, audited, summary)
+    return 1 if tally["failures"] else 0
 
 
 def cmd_bounds(args) -> int:
@@ -388,7 +486,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NotApplicableError, PreconditionNotMetError) as exc:
+    except _FAULTS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -407,7 +407,7 @@ def fork_map(fn: Callable[[int, int], T], blocks: list[tuple[int, int]],
     included, every worker is killed if still running and reaped.
     """
     jobs = min(jobs, len(blocks))
-    if jobs == 1:
+    if jobs <= 1:
         for lo, hi in blocks:
             yield fn(lo, hi)
         return

@@ -17,6 +17,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import pairwise
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .audits import GapAuditRecord, Lemma2Verdict, LemmaThreeWitness
@@ -27,9 +28,13 @@ from .tuples import DTuple, InputError, VerificationFailure, verify
 ARTIFACT_VERSION = "0.1.0"
 
 
+# json.dumps builds a new encoder for every call with options like these
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                            allow_nan=False)
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-                      allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def fraction_str(f: Fraction) -> str:
@@ -271,7 +276,24 @@ def _nests_deeper(obj: Any, depth: int) -> bool:
     return bool(level)
 
 
-def utf8_lines(blob: bytes) -> Iterator[str]:
+def line_blocks(blob: bytes, count: int) -> list[tuple[int, int]]:
+    """About count [lo, hi) byte ranges of whole lines that cover blob, in order.
+
+    Each range ends just after a "\n", the only line end utf8_lines knows,
+    or at the end of blob; an empty blob has no range.
+    """
+    ends = [0]
+    for k in range(1, count):
+        cut = blob.find(b"\n", max(ends[-1], len(blob) * k // count - 1)) + 1
+        if cut == 0:  # no line ends past here
+            break
+        ends.append(cut)  # the search starts at the last cut, so cut lies past it
+    if ends[-1] < len(blob):
+        ends.append(len(blob))
+    return list(pairwise(ends))
+
+
+def utf8_lines(blob: bytes, first_line: int = 1) -> Iterator[str]:
     """The lines of a UTF-8 file's bytes, each with its "\n", decoded one at a time.
 
     Only "\n" ends a line, as in io.StringIO; str.splitlines() would also
@@ -279,9 +301,10 @@ def utf8_lines(blob: bytes) -> Iterator[str]:
     writes only escaped but a hand-edited file may hold raw in a string.
     No byte of a multi-byte UTF-8 sequence is "\n", so decoding line by
     line reads the text that decoding the whole file would, and
-    io.BytesIO shares blob rather than copying it.
+    io.BytesIO shares blob rather than copying it. A fault names its line
+    counted from first_line, the number of blob's first line in its file.
     """
-    for line_no, raw in enumerate(io.BytesIO(blob), start=1):
+    for line_no, raw in enumerate(io.BytesIO(blob), start=first_line):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -289,13 +312,14 @@ def utf8_lines(blob: bytes) -> Iterator[str]:
         yield line
 
 
-def read_jsonl(lines: Iterable[str]) -> Iterator[dict]:
+def read_jsonl(lines: Iterable[str], first_line: int = 1) -> Iterator[dict]:
     """Parse each line as a record, one at a time, in order.
 
     A blank line or a '#' comment is skipped. The first faulty line raises
-    InputError naming its line number, when the reader reaches it.
+    InputError naming its line number, counted from first_line, when the
+    reader reaches it.
     """
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,6 +10,7 @@ import math
 from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import ceil_sqrt, pow_compare, square_root_if_square
 from .residues import walk
@@ -39,8 +40,7 @@ class InvalidRangeError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     """a*b + n = r*r with a < b and r >= 0."""
 
     a: int

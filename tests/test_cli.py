@@ -1,3 +1,4 @@
+import bisect
 import contextlib
 import io
 import json
@@ -15,16 +16,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from constructed_corpus import constructed_quadruples, corpus_text
+from dntuple import cli
 from dntuple.cli import main
 from dntuple.search import MAX_LIMIT, SearchConfig, search_maximal
 from dntuple.serialize import (
     canonical_json,
     fraction_str,
+    line_blocks,
     parse_epsilon,
     read_jsonl,
     render_csv,
     tuple_from_obj,
     tuple_to_obj,
+    utf8_lines,
     write_csv,
 )
 from dntuple.tuples import DTuple, InputError, verify
@@ -992,13 +996,31 @@ def record_files(tmp_path_factory):
     return paths
 
 
-@given(data=st.data(), command=st.sampled_from(("verify", "audit", "report")),
-       files=st.lists(st.sampled_from(("search", "search", "verify", "audit", "bounds",
-                                        "corpus", "corpus", "missing")), min_size=2, max_size=2),
-       count=st.sampled_from((1,) * 6 + (0, 2)))
+_RECORD_ARGV = dict(
+    data=st.data(), command=st.sampled_from(("verify", "audit", "report")),
+    files=st.lists(st.sampled_from(("search", "search", "verify", "audit", "bounds",
+                                    "corpus", "corpus", "missing")), min_size=2, max_size=2),
+    count=st.sampled_from((1,) * 6 + (0, 2)))
+
+
+@given(**_RECORD_ARGV)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_record_argv_never_crashes(record_files, data, command, files, count):
+    _fuzz_record_argv(record_files, data, command, files, count)
+
+
+@given(**_RECORD_ARGV)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_record_argv_never_crashes_forked(record_files, monkeypatch, data, command,
+                                                 files, count):
+    # every file, however small, reaches the block reader in forked workers
+    force_record_workers(monkeypatch, 2)
+    _fuzz_record_argv(record_files, data, command, files, count)
+
+
+def _fuzz_record_argv(record_files, data, command, files, count):
     sources = {"verify": ("--from-search",), "audit": ("--from-search", "--seed-corpus"),
                "report": ("--in",)}[command]
     # one source mostly, none or both now and then, each reading one of the files
@@ -1206,3 +1228,208 @@ def test_search_holds_one_block_of_tuples(tmp_path):
     (small, few), (large, many) = peak(600), peak(2000)
     assert many > 4 * few
     assert (large - small) / (many - few) < 200
+
+
+# verify --from-search and audit fork over blocks of whole lines
+
+
+def force_record_workers(monkeypatch, jobs):
+    """Fork the record commands over jobs workers, whatever the size of their input."""
+    monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: jobs)
+
+
+def spy_record_forks(monkeypatch):
+    """The (jobs, blocks) of each fork_map the record commands make."""
+    calls = []
+    fork_map = cli.fork_map
+
+    def spy(fn, blocks, jobs):
+        calls.append((jobs, len(blocks)))
+        return fork_map(fn, blocks, jobs)
+
+    monkeypatch.setattr(cli, "fork_map", spy)
+    return calls
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def record_inputs(tmp_path_factory):
+    # a search output of 1 337 lines and a seed corpus of quadruples
+    root = tmp_path_factory.mktemp("inputs")
+    search = root / "search.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["search", "--n", "4", "--limit", "1000", "--out", str(search)]) == 0
+    assert search.read_text(encoding="utf-8").count("\n") == 1337
+    corpus = root / "corpus.jsonl"
+    corpus.write_text(corpus_text() * 3, encoding="utf-8")
+    return {"--from-search": search, "--seed-corpus": corpus}
+
+
+FORKED_COMMANDS = [["verify", "--from-search"], ["audit", "--from-search"],
+                   ["audit", "--seed-corpus"]]
+
+
+def test_line_blocks_cut_after_newlines_only():
+    blob = "a\nbb\r\x85\u2028\n\n\u2028\nlast".encode()
+    for count in range(1, 12):
+        blocks = line_blocks(blob, count)
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(blob)
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(blob[hi - 1:hi] == b"\n" for _lo, hi in blocks[:-1])
+        assert len(blocks) <= min(count, 5)
+        # the blocks, each decoded on its own, hold the whole file's lines
+        lines = [line for lo, hi in blocks for line in utf8_lines(blob[lo:hi])]
+        assert lines == list(utf8_lines(blob))
+    assert line_blocks(b"", 4) == []
+    assert line_blocks(b"one line, no end", 4) == [(0, 16)]
+    assert line_blocks(b"\n" * 100, 4) == [(0, 25), (25, 50), (50, 75), (75, 100)]
+
+
+def test_readers_number_lines_from_the_first_line_given():
+    with pytest.raises(InputError, match="^line 41: input is not UTF-8"):
+        list(utf8_lines(b"{}\n\xff\n", 40))
+    with pytest.raises(InputError, match="^line 12: not a JSON record"):
+        list(read_jsonl(["{}\n", "# c\n", "[\n"], 10))
+
+
+@pytest.mark.parametrize("command", FORKED_COMMANDS, ids=lambda c: "-".join(c))
+def test_forked_record_commands_write_the_same_bytes(tmp_path, capsys, monkeypatch,
+                                                     record_inputs, command):
+    path = str(record_inputs[command[1]])
+    single = run_cli(capsys, *command, path)  # below the floor: one process
+    assert single[0] == 0
+    calls = spy_record_forks(monkeypatch)
+    for jobs in (1, 2, 3):
+        force_record_workers(monkeypatch, jobs)
+        assert run_cli(capsys, *command, path) == single
+        out = tmp_path / f"out{jobs}"
+        assert run_cli(capsys, *command, path, "--out", str(out)) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == single[1]
+        no_child_left()
+    # more blocks than workers, so each worker's stripe holds several
+    assert [jobs for jobs, _ in calls] == [1, 1, 2, 2, 3, 3]
+    assert all(blocks > 2 * jobs for jobs, blocks in calls)
+
+
+def _fault(kind: str, command: str, line_no: int) -> tuple[bytes, str]:
+    """A line that makes command exit 2, of one kind, and the start of its error."""
+    if kind == "malformed":
+        return (b'{"record":"dtuple","n":4,"elements":[5,12,',
+                f"error: line {line_no}: not a JSON record: ")
+    if kind == "non-utf8":
+        return (b'{"record":"dtuple","n":4,"elements":[5,12]}\xff',
+                f"error: line {line_no}: input is not UTF-8: ")
+    # a tampered tuple: for audit one that fails verification; verify
+    # reports such a tuple as a finding, so there an element is not an int
+    if command == "audit":
+        return (b'{"record":"dtuple","n":4,"elements":[5,12,22]}',
+                "error: stored tuple fails verification: 5*22+4 = 114 is not a perfect square\n")
+    return (b'{"record":"dtuple","n":4,"elements":[5,12,21.0]}',
+            "error: element 21.0 is not an integer\n")
+
+
+FAULT_KINDS = ["malformed", "non-utf8", "tampered"]
+
+
+@pytest.mark.parametrize("command", ["verify", "audit"])
+@pytest.mark.parametrize("late", FAULT_KINDS)
+def test_forked_record_commands_report_the_first_fault_in_file_order(
+        tmp_path, capsys, monkeypatch, record_inputs, command, late):
+    # the late fault sits in a late block; the earlier one, of another
+    # kind, in an earlier block that the other worker reads
+    early = FAULT_KINDS[(FAULT_KINDS.index(late) + 1) % 3]
+    lines = record_inputs["--from-search"].read_bytes().splitlines(keepends=True)
+    early_no, late_no = 301, 1001
+    target = tmp_path / "out"
+    target.write_bytes(b"earlier\n")
+    for faults in ({late_no: late}, {early_no: early, late_no: late}):
+        path = tmp_path / "faulty.jsonl"
+        for no, kind in faults.items():
+            lines[no - 1] = _fault(kind, command, no)[0] + b"\n"
+        blob = b"".join(lines)
+        path.write_bytes(blob)
+        starts = [lo for lo, _hi in line_blocks(blob, 2 * cli.LINE_BLOCKS_PER_WORKER)]
+        block = {no: bisect.bisect_right(starts, len(b"".join(lines[:no - 1]))) - 1
+                 for no in faults}
+        assert block[late_no] >= len(starts) // 2
+        assert block.get(early_no, block[late_no] + 1) % 2 != block[late_no] % 2
+
+        first = min(faults)
+        expected = _fault(faults[first], command, first)[1]
+        for jobs in (1, 2):
+            force_record_workers(monkeypatch, jobs)
+            code, out, err = run_cli(capsys, command, "--from-search", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(expected) and err.count("\n") == 1
+            assert run_cli(capsys, command, "--from-search", str(path),
+                           "--out", str(target)) == (code, out, err)
+            assert target.read_bytes() == b"earlier\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["faulty.jsonl", "out"]
+            no_child_left()
+
+
+@pytest.mark.parametrize("command", FORKED_COMMANDS, ids=lambda c: "-".join(c))
+def test_forked_worker_crash_exits_three_and_leaves_nothing(tmp_path, capsys, monkeypatch,
+                                                            record_inputs, command):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    # the per-record work runs in the workers alone
+    monkeypatch.setattr(cli, "tuple_fields", boom)
+    monkeypatch.setattr(cli, "tuple_from_obj", boom)
+    force_record_workers(monkeypatch, 2)
+    target = tmp_path / "out"
+    target.write_bytes(b"earlier\n")
+    path = str(record_inputs[command[1]])
+    for out_flag in ([], ["--out", str(target)]):
+        code, out, err = run_cli(capsys, *command, path, *out_flag)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: WorkerError(") and "RuntimeError('boom')" in err
+        assert err.count("\n") == 1
+        assert target.read_bytes() == b"earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        no_child_left()
+
+
+def test_record_commands_fork_from_the_floor(tmp_path, capsys, monkeypatch, record_inputs):
+    # the real floor on 2 CPUs, one byte on either side
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    calls = spy_record_forks(monkeypatch)
+    records = record_inputs["--from-search"].read_bytes()
+    body = records * (cli.FORK_MIN_BYTES // len(records))
+    for size in (cli.FORK_MIN_BYTES - 1, cli.FORK_MIN_BYTES):
+        path = tmp_path / f"{size}.jsonl"
+        # a comment line pads the copies of the search to the size
+        path.write_bytes(body + b"#" * (size - len(body) - 1) + b"\n")
+        assert path.stat().st_size == size
+        assert run_cli(capsys, "verify", "--from-search", str(path),
+                       "--out", str(tmp_path / "out"))[0] == 0
+    assert [jobs for jobs, _ in calls] == [1, 2]
+    no_child_left()
+
+
+def test_forked_record_commands_under_the_benchmark_record_counter(capsys, monkeypatch,
+                                                                   record_inputs):
+    # perfbench's tracer rebinds cli.write_jsonl to a wrapper that takes
+    # len() of its records argument; the workers call the rebound name
+    path = str(record_inputs["--from-search"])
+    plain = {command: run_cli(capsys, command, "--from-search", path)
+             for command in ("verify", "audit")}
+    write_jsonl, sizes = cli.write_jsonl, []
+
+    def counted(*args, **kwargs):
+        sizes.append(len(args[1]))
+        return write_jsonl(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_jsonl", counted)
+    force_record_workers(monkeypatch, 2)
+    for command in ("verify", "audit"):
+        assert run_cli(capsys, command, "--from-search", path) == plain[command]
+    # the parent writes the manifests and the audit summary, the workers the rest
+    assert sizes == [0, 0, 1]
+    no_child_left()
