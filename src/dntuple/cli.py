@@ -5,10 +5,9 @@ error or malformed input, 3 an unexpected internal error. All output
 goes through the canonical emitters, manifest first, so identical
 invocations produce identical bytes; timestamps are opt-in
 (--timestamps) precisely because they break that. verify --from-search
-and audit run their per-record work over blocks of whole lines, in
-workers forked by search.fork_map once the input holds FORK_MIN_BYTES,
-and write the blocks' texts in file order, so their bytes do not depend
-on the number of workers either.
+and audit fork their per-record work, over blocks of whole lines, by
+workers.fork_map from FORK_MIN_BYTES of input, and write the blocks'
+texts in file order, so their bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .audits import (
     find_witness_e,
 )
 from .bounds import NotApplicableError, bound_grid, m_bound_report, thresholds
-from .search import SearchConfig, SearchReport, fork_map, stream_maximal, usable_cpus
+from .search import SearchConfig, SearchReport, stream_maximal
 from .serialize import (
     SEARCH_KINDS,
     audit_summary_to_obj,
@@ -62,6 +61,7 @@ from .serialize import (
     write_jsonl,
 )
 from .tuples import InputError, VerificationFailure, extend, verify
+from .workers import fork_map, jobs_for
 
 _CHECKS = ("lemma5", "corollary4", "lemma2", "lemma3")
 
@@ -179,7 +179,7 @@ def _emit_by_block(args, manifest: dict, blob: bytes, path: str, kinds: tuple[st
     run(records, fh) reads the records of one block of whole lines, writes
     the records it makes of them to fh, one write_jsonl call each as _emit
     does, and returns the block's tally. The blocks run in workers forked
-    by search.fork_map once blob holds FORK_MIN_BYTES, each writing into
+    by workers.fork_map once blob holds FORK_MIN_BYTES, each writing into
     its own text buffer, and their texts are written in file order, so the
     output is the same at any worker count. A fault in a block (an exit-2
     error) comes back as its value and is raised when its block is
@@ -188,8 +188,7 @@ def _emit_by_block(args, manifest: dict, blob: bytes, path: str, kinds: tuple[st
     returned, and passed to summary(tally) for the record written last,
     is the sum of the blocks' tallies.
     """
-    cpus = usable_cpus() if hasattr(os, "fork") else 1
-    jobs = cpus if len(blob) >= FORK_MIN_BYTES else 1
+    jobs = jobs_for(len(blob), FORK_MIN_BYTES)
     blocks = line_blocks(blob, jobs * LINE_BLOCKS_PER_WORKER)
     # the whole-file number of each block's first line
     newlines = (blob.count(b"\n", lo, hi) for lo, hi in blocks)

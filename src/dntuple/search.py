@@ -43,48 +43,39 @@
 # candidates) and the lower neighbours the leaf walks list.
 #
 # Both stages run seed by seed, so both split over blocks of consecutive
-# seeds (stage 1 over [1, low], stage 2 over [1, limit]), and the blocks run
-# in workers forked from the search, one per CPU in the process's affinity
-# mask (taskset narrows it). Worker w runs blocks w, w + jobs, w + 2*jobs,
-# ... and writes each block's result, pickled whole, to its own pipe; the
-# parent reads block i from worker i % jobs. Stage 1 workers return each
-# block's neighbours, per-seed counts and extensions, spliced into the CSR
-# in block order; stage 2 workers inherit the CSR and the root table
-# through the fork and return each block's element lists, each with the
-# counters as they stood when it was found, and the block's counters.
-# Block order is seed order, so the concatenated tuples are already
-# lexicographic, the counters sum, and the report is byte-identical for
-# any number of workers. The parent verifies and yields each block's
-# tuples as it reads the block (stream_maximal), so it holds one block's
-# element lists at a time, never the whole result, and the counters are
-# final only when the stream ends. A capped search reads the blocks in
-# order and stops at the tuple that reaches the cap, with the counters of
-# the blocks before it plus those recorded with that tuple: what one pass
-# over the seeds that stopped there would count. Each stage forks only
-# when its own work clears a floor (FORK_MIN_SEEDS live seeds for stage 1,
-# FORK_MIN_PAIRS weighted pairs for stage 2); a stage below its floor, or
-# on one CPU, or without os.fork runs its blocks in one process, one after
-# another, so a capped stage 2 there stops after the block that reaches
-# the cap.
+# seeds (stage 1 over [1, low], stage 2 over [1, limit]) that
+# workers.fork_map runs and returns in block order, which is seed order.
+# Stage 1 blocks return their neighbours, per-seed counts and extensions,
+# spliced into the CSR; stage 2 workers, forked once the CSR and the root
+# table are built, return each block's element lists, each with the
+# counters as they stood when it was found, and the block's counters. So
+# the tuples are lexicographic, the counters sum, and the report is
+# byte-identical for any number of workers. A capped search stops at the
+# tuple that reaches the cap, with the counters of the blocks before it
+# plus those recorded with that tuple: what one pass over the seeds that
+# stopped there would count. Each stage forks only when its own work
+# clears its floor in workers.jobs_for (FORK_MIN_SEEDS live seeds for
+# stage 1, FORK_MIN_PAIRS weighted pairs for stage 2); otherwise its
+# blocks run in one process, in turn, so a capped stage 2 there stops
+# after the block that reaches the cap.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_right
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, pairwise, repeat
 from math import isqrt
-from typing import BinaryIO, NoReturn, TypeVar
 
 from .residues import RootTable, smallest_factor_sieve, walk
 from .tuples import DTuple, InputError, ZeroNError, extenders, verify
+from .workers import fork_map, jobs_for
 
-T = TypeVar("T")
-
-# the sieve and the pair graph hold int32 entries per element of [1, limit]
+# the sieve and the pair graph hold int32 entries per element of [1, limit];
+# at 10^7, forked on 2 vCPUs at min size 5, n = 4 ran 165.8 s with peaks of
+# 587 MB in the parent and 507 MB in a child; n = -2 14.0 s, 225 and 200 MB
 MAX_LIMIT = 10**7
 
 # Each stage forks its workers only when its own work repays the fork,
@@ -126,10 +117,6 @@ FORK_MIN_PAIRS = 160_000
 # block about an even share of the work, and worker w takes every jobs-th
 # block from w on, so each worker's blocks sample the whole seed range
 BLOCKS_PER_WORKER = 64
-
-
-class WorkerError(RuntimeError):
-    """A forked search worker failed; the search has no result."""
 
 
 @dataclass(frozen=True)
@@ -220,9 +207,7 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
     low = min(limit, max(limit // 4, abs(n)))
     # a*d + n = r*r needs r*r = n (mod a): only seeds with a root have partners
     live = table.solvable(low)
-    cpus = usable_cpus() if hasattr(os, "fork") else 1
-    # each stage forks only when its own work repays the fork (see FORK_MIN_SEEDS)
-    jobs = cpus if live.count(1) >= FORK_MIN_SEEDS else 1
+    jobs = jobs_for(live.count(1), FORK_MIN_SEEDS)
 
     def neighbours(lo: int, hi: int) -> tuple[array, array, array, array]:
         # stage 1 on seeds [lo, hi), all <= low: their upper neighbours,
@@ -352,7 +337,7 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
     report.candidates_tested = len(adj)
     # below min size 4 a pair costs about 8 times the clique growth (see FORK_MIN_SEEDS)
     weight = 8 if min_report <= 3 else 1
-    jobs = cpus if weight * len(adj) >= FORK_MIN_PAIRS else 1
+    jobs = jobs_for(weight * len(adj), FORK_MIN_PAIRS)
     count = 0
     with closing(fork_map(grow, seed_blocks(limit, jobs), jobs)) as parts:
         for found, best, nodes, cands in parts:
@@ -370,14 +355,6 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
                 break
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, which taskset narrows."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return 1
-
-
 def seed_blocks(limit: int, jobs: int) -> list[tuple[int, int]]:
     """[lo, hi) ranges of consecutive seeds that cover [1, limit], ascending.
 
@@ -389,89 +366,6 @@ def seed_blocks(limit: int, jobs: int) -> list[tuple[int, int]]:
     count = jobs * BLOCKS_PER_WORKER
     ends = dict.fromkeys(1 + limit * k**3 // count**3 for k in range(count + 1))
     return list(pairwise(ends))
-
-
-def fork_map(fn: Callable[[int, int], T], blocks: list[tuple[int, int]],
-             jobs: int) -> Iterator[T]:
-    """fn(lo, hi) for each block in turn, computed by up to jobs forked workers.
-
-    fn runs in a child forked from this process, so it sees this
-    process's data as it was at the fork, and it returns a picklable
-    value. Worker w runs blocks w, w + jobs, w + 2*jobs, ... in turn and
-    writes each result, pickled whole, to its own pipe; this process
-    reads block i from worker i % jobs, so results come in block order
-    and a worker waits only for this process to read. The children end
-    with os._exit, so they never run this process's exit handlers or
-    flush its buffers. If a worker fails, or cannot be forked, the
-    iteration raises WorkerError; on any exit, closing the iterator early
-    included, every worker is killed if still running and reaped.
-    """
-    jobs = min(jobs, len(blocks))
-    if jobs <= 1:
-        for lo, hi in blocks:
-            yield fn(lo, hi)
-        return
-    import pickle  # only a forked run pays for these imports
-    import signal
-
-    pids: list[int] = []
-    replies: list[BinaryIO] = []
-    try:
-        for w in range(jobs):
-            reply, reply_in = os.pipe()
-            replies.append(open(reply, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(fn, blocks[w::jobs], reply_in, replies)
-            except OSError as exc:  # EAGAIN: no room for another process
-                raise WorkerError(f"cannot fork a search worker: {exc}") from exc
-            finally:
-                os.close(reply_in)  # in this process only: _serve never returns
-            pids.append(pid)
-        for i in range(len(blocks)):
-            try:
-                ok, value = pickle.load(replies[i % jobs])
-            except (EOFError, OSError, pickle.UnpicklingError) as exc:  # perhaps mid-reply
-                raise WorkerError(f"a search worker ended without block {i}") from exc
-            if not ok:
-                raise WorkerError(f"search worker failed: {value}")
-            yield value
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for reply in replies:
-            reply.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _serve(fn: Callable[[int, int], object], blocks: list[tuple[int, int]], reply: int,
-           inherited: list[BinaryIO]) -> NoReturn:
-    # a worker's whole life: run its blocks in turn, write each result (or
-    # the failure) to its pipe as one whole pickle, and exit without
-    # unwinding into the parent's code
-    import pickle
-
-    status = 1
-    try:
-        for other in inherited:
-            other.close()  # the parent's ends of the pipes
-        out = open(reply, "wb")
-        for lo, hi in blocks:
-            out.write(pickle.dumps((True, fn(lo, hi))))
-            out.flush()
-        status = 0
-    except BaseException as exc:
-        import traceback
-
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        failure = f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"
-        os.write(reply, pickle.dumps((False, failure)))  # out was flushed after its last reply
-    finally:
-        os._exit(status)
 
 
 def empirical_max_size(n: int, limit: int) -> int:

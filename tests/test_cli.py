@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from constructed_corpus import constructed_quadruples, corpus_text
-from dntuple import cli
+from dntuple import cli, workers
 from dntuple.cli import main
 from dntuple.search import MAX_LIMIT, SearchConfig, search_maximal
 from dntuple.serialize import (
@@ -1236,7 +1236,7 @@ def test_search_holds_one_block_of_tuples(tmp_path):
 def force_record_workers(monkeypatch, jobs):
     """Fork the record commands over jobs workers, whatever the size of their input."""
     monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: jobs)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: jobs)
 
 
 def spy_record_forks(monkeypatch):
@@ -1390,6 +1390,7 @@ def test_forked_worker_crash_exits_three_and_leaves_nothing(tmp_path, capsys, mo
         code, out, err = run_cli(capsys, *command, path, *out_flag)
         assert (code, out) == (3, "")
         assert err.startswith("internal error: WorkerError(") and "RuntimeError('boom')" in err
+        assert "search worker" not in err and "(\"worker failed: RuntimeError('boom') at " in err
         assert err.count("\n") == 1
         assert target.read_bytes() == b"earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
@@ -1398,7 +1399,7 @@ def test_forked_worker_crash_exits_three_and_leaves_nothing(tmp_path, capsys, mo
 
 def test_record_commands_fork_from_the_floor(tmp_path, capsys, monkeypatch, record_inputs):
     # the real floor on 2 CPUs, one byte on either side
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     calls = spy_record_forks(monkeypatch)
     records = record_inputs["--from-search"].read_bytes()
     body = records * (cli.FORK_MIN_BYTES // len(records))

@@ -5,17 +5,14 @@ import json
 import math
 import os
 import pathlib
-import select
-import signal
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracle import naive_maximal
-from dntuple import cli, search
+from dntuple import cli, search, workers
 from dntuple.residues import RootTable, smallest_factor_sieve, walk
 from dntuple.search import (
     MAX_LIMIT,
@@ -203,7 +200,7 @@ def spy_fork_map(monkeypatch, jobs):
         calls.append((jobs, len(blocks)))
         return fork_map(fn, blocks, jobs)
 
-    monkeypatch.setattr(search, "usable_cpus", lambda: jobs)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: jobs)
     monkeypatch.setattr(search, "fork_map", spy)
     return calls
 
@@ -330,7 +327,7 @@ def test_capped_search_in_one_process_stops_after_the_capping_block(monkeypatch)
             parts_read[-1] += 1
             yield part
 
-    monkeypatch.setattr(search, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     monkeypatch.setattr(search, "fork_map", counting)
     report = search_maximal(SearchConfig(n=9, limit=1500, min_report_size=4, max_results=1))
     assert found_elements(report) == [(1, 7, 40, 216)]
@@ -385,7 +382,7 @@ def test_failed_worker_fails_the_search(monkeypatch, capsys, name):
 
     force_workers(monkeypatch, 2)
     monkeypatch.setattr(search, name, failing)
-    with pytest.raises(search.WorkerError, match="worker failure"):
+    with pytest.raises(workers.WorkerError, match="worker failure"):
         search_maximal(SearchConfig(n=4, limit=300, min_report_size=3))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -509,10 +506,10 @@ def run_script(script, *args):
 
 # the first lines of a script that shards its search when its argument is 'forked'
 FORCE_FORK = ("import sys\n"
-              "from dntuple import cli, search\n"
+              "from dntuple import cli, search, workers\n"
               "if sys.argv[1] == 'forked':\n"
               "    search.FORK_MIN_SEEDS = search.FORK_MIN_PAIRS = 0\n"
-              "    search.usable_cpus = lambda: 2\n")
+              "    workers.usable_cpus = lambda: 2\n")
 
 
 def test_sharded_cli_output_is_written_once():
@@ -538,79 +535,6 @@ def test_search_does_not_import_multiprocessing(tmp_path):
     assert run_script(script, "forked", out).stdout == b"0 []\n"
 
 
-# fork_map itself
-
-
-def test_fork_map_yields_in_block_order_when_later_blocks_finish_first():
-    # block 0 waits until block 3 is done, so its worker finishes last
-    blocks = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    done_3, signal_3 = os.pipe()
-
-    def fn(lo, hi):
-        if lo == 0:
-            return lo, bool(select.select([done_3], [], [], 30)[0])
-        if lo == 3:
-            os.write(signal_3, b"x")
-        return lo, True
-
-    try:
-        assert list(search.fork_map(fn, blocks, 2)) == [(0, True), (1, True), (2, True),
-                                                        (3, True)]
-    finally:
-        os.close(done_3)
-        os.close(signal_3)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_fork_map_worker_that_exits_without_reply_fails_the_map():
-    parent = os.getpid()
-
-    def fn(lo, hi):
-        if lo == 2 and os.getpid() != parent:
-            os._exit(0)
-        return lo
-
-    with pytest.raises(search.WorkerError, match="without block 2"):
-        list(search.fork_map(fn, [(k, k + 1) for k in range(6)], 2))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_fork_map_worker_killed_mid_reply_fails_the_map():
-    # block 1's reply outgrows the pipe buffer, so its worker is still
-    # writing it when block 0's worker kills it
-    pid_out, pid_in = os.pipe()
-
-    def fn(lo, hi):
-        if lo == 0:
-            victim = int(os.read(pid_out, 32))
-            time.sleep(0.2)
-            os.kill(victim, signal.SIGKILL)
-            return b""
-        os.write(pid_in, str(os.getpid()).encode())
-        return bytes(1 << 20)
-
-    try:
-        with pytest.raises(search.WorkerError, match="without block 1"):
-            list(search.fork_map(fn, [(0, 1), (1, 2)], 2))
-    finally:
-        os.close(pid_out)
-        os.close(pid_in)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_fork_map_unpicklable_result_fails_the_map():
-    def fn(lo, hi):
-        return (k for k in range(lo, hi))
-
-    with pytest.raises(search.WorkerError, match="cannot pickle 'generator' object"):
-        list(search.fork_map(fn, [(0, 1), (1, 2), (2, 3)], 2))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_failed_fork_fails_the_search(monkeypatch, capsys):
     # every second fork fails, as when the system is out of processes: the
     # worker already forked is killed and reaped, and the CLI exits 3
@@ -624,7 +548,7 @@ def test_failed_fork_fails_the_search(monkeypatch, capsys):
 
     force_workers(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", fork)
-    with pytest.raises(search.WorkerError, match="cannot fork a search worker"):
+    with pytest.raises(workers.WorkerError, match="cannot fork a worker"):
         search_maximal(SearchConfig(n=4, limit=300, min_report_size=3))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
