@@ -19,7 +19,6 @@ import io
 import itertools
 import os
 import sys
-import traceback
 from collections import Counter
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -61,7 +60,7 @@ from .serialize import (
     write_jsonl,
 )
 from .tuples import InputError, VerificationFailure, extend, verify
-from .workers import fork_map, jobs_for
+from .workers import crash_text, fork_map, jobs_for
 
 _CHECKS = ("lemma5", "corollary4", "lemma2", "lemma3")
 
@@ -500,9 +499,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         # a crash must not read as exit 1, "a checked object failed"; the
         # raising line is kept so the one-line report can still be traced
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        print(f"internal error: {exc!r} at {os.path.basename(where.filename)}:{where.lineno}",
-              file=sys.stderr)
+        print(f"internal error: {crash_text(exc)}", file=sys.stderr)
         return 3
 
 

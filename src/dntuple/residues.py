@@ -24,17 +24,17 @@ def smallest_factor_sieve(limit: int) -> array:
 
     The 0-for-prime convention keeps the sieve pass to cheap slice writes:
     primes descending, so the smallest factor lands last. Only composites
-    need marks, and every composite k has a factor <= sqrt(k). An int32
-    array, half the size of a list.
+    need marks, and every composite k has a factor <= sqrt(k), so 16-bit
+    entries hold any limit below 2**32 (a larger factor raises OverflowError).
     """
-    spf = array("i", [0]) * (limit + 1)
+    spf = array("H", [0]) * (limit + 1)
     primes = []
     for p in range(2, isqrt(limit) + 1):
         if all(p % q for q in primes):
             primes.append(p)
     for p in reversed(primes):
         width = len(range(p * p, limit + 1, p))
-        spf[p * p :: p] = array("i", [p]) * width
+        spf[p * p :: p] = array("H", [p]) * width
     return spf
 
 

@@ -25,7 +25,9 @@
 # So for each pair (a, d) with a <= low < d, the walk of a also emits its
 # extension e while e <= limit (e rises with d), and d's list gathers
 # these by a counting sort in seed order, after d + 2*sqrt(n) for a
-# square n: within one d, e rises with a, so each list is ascending.
+# square n: within one d, e rises with a, so each list is ascending. The
+# sort fills the CSR's one offset array in place, and reads each e's d
+# back from its seed's stored list.
 # Stage 2 grows cliques depth first, seeds ascending: the children of a
 # node through candidate d are d's stored upper neighbours among the
 # node's candidates. Children exceed the current maximum, so every tuple
@@ -45,19 +47,19 @@
 # Both stages run seed by seed, so both split over blocks of consecutive
 # seeds (stage 1 over [1, low], stage 2 over [1, limit]) that
 # workers.fork_map runs and returns in block order, which is seed order.
-# Stage 1 blocks return their neighbours, per-seed counts and extensions,
-# spliced into the CSR; stage 2 workers, forked once the CSR and the root
-# table are built, return each block's element lists, each with the
-# counters as they stood when it was found, and the block's counters. So
-# the tuples are lexicographic, the counters sum, and the report is
-# byte-identical for any number of workers. A capped search stops at the
-# tuple that reaches the cap, with the counters of the blocks before it
-# plus those recorded with that tuple: what one pass over the seeds that
-# stopped there would count. Each stage forks only when its own work
-# clears its floor in workers.jobs_for (FORK_MIN_SEEDS live seeds for
-# stage 1, FORK_MIN_PAIRS weighted pairs for stage 2); otherwise its
-# blocks run in one process, in turn, so a capped stage 2 there stops
-# after the block that reaches the cap.
+# Stage 1 blocks return their neighbours, per-seed counts, extensions and
+# the spans that hold the extensions' d, spliced into the CSR; stage 2
+# workers, forked once the CSR and the root table are built, return each
+# block's element lists, each with the counters as they stood when it was
+# found, and the block's counters. So the tuples are lexicographic, the
+# counters sum, and the report is byte-identical for any number of
+# workers. A capped search stops at the tuple that reaches the cap, with
+# the counters of the blocks before it plus those recorded with that
+# tuple: what one pass over the seeds that stopped there would count. Each
+# stage forks only when its own work clears its floor in workers.jobs_for
+# (FORK_MIN_SEEDS live seeds for stage 1, FORK_MIN_PAIRS weighted pairs
+# for stage 2); otherwise its blocks run in one process, in turn, so a
+# capped stage 2 there stops after the block that reaches the cap.
 
 from __future__ import annotations
 
@@ -73,9 +75,10 @@ from .residues import RootTable, smallest_factor_sieve, walk
 from .tuples import DTuple, InputError, ZeroNError, extenders, verify
 from .workers import fork_map, jobs_for
 
-# the sieve and the pair graph hold int32 entries per element of [1, limit];
-# at 10^7, forked on 2 vCPUs at min size 5, n = 4 ran 165.8 s with peaks of
-# 587 MB in the parent and 507 MB in a child; n = -2 14.0 s, 225 and 200 MB
+# the pair graph holds an int32 offset and the sieve a 16-bit factor per
+# element of [1, limit]; at 10^7, forked on 2 vCPUs at min size 5, n = 4
+# ran 149.7 s with peaks of 532 MB in the parent and 438 MB in a child;
+# n = -2 12.2 s, 127 and 100 MB
 MAX_LIMIT = 10**7
 
 # Each stage forks its workers only when its own work repays the fork,
@@ -190,20 +193,15 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
     the block of seeds that holds the last kept tuple.
 
     Only the seeds a <= low = min(limit, max(limit // 4, |n|)) are
-    factored and walked. A seed d > low has d > |n| and 4d > limit, so
-    each root r of x^2 = n (mod d) is sqrt(n) or sqrt(a*d + n) for one
-    lower partner a, and its class holds at most one upper partner in
-    range, e = a + d + 2r; an a > low would put e above limit. So d's
-    upper neighbours are the regular extensions of its pairs with the
-    walked seeds, plus d + 2*sqrt(n) for a square n.
+    factored and walked. The upper neighbours of a seed d > low are the
+    regular extensions of its pairs with them, plus d + 2*sqrt(n) for a
+    square n (see the header).
     """
     config = report.config
     n, limit = config.n, config.limit
     min_report, max_results = config.min_report_size, config.max_results
     table = RootTable(n, smallest_factor_sieve(limit))
     roots = table.roots
-    # the seeds up to low are walked; the lists above it are their
-    # regular extensions (see the header)
     low = min(limit, max(limit // 4, abs(n)))
     # a*d + n = r*r needs r*r = n (mod a): only seeds with a root have partners
     live = table.solvable(low)
@@ -211,64 +209,61 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
 
     def neighbours(lo: int, hi: int) -> tuple[array, array, array, array]:
         # stage 1 on seeds [lo, hi), all <= low: their upper neighbours,
-        # concatenated, and how many each seed has; then the regular
-        # extensions e <= limit of each seed's pairs (a, d) with d > low,
-        # which belong to its first partners above low, and how many
-        chunk, ext = array("i"), array("i")
+        # concatenated, and how many each seed has; the regular extensions
+        # e <= limit of their pairs (a, d) with d > low; and for each seed
+        # with any, the span of the chunk that holds those d
+        chunk, ext, spans = array("i"), array("i"), array("i")
         counts = array("i", [0]) * (hi - lo)
-        ext_counts = array("i", [0]) * (hi - lo)
         for a in compress(range(lo, hi), live[lo:hi]):
             up = walk(a, n, roots(a), a + 1, limit)
+            i = len(chunk) + bisect_right(up, low)  # a's first partner above low
             chunk.extend(up)
             counts[a - lo] = len(up)
             had = len(ext)
-            for d in up[bisect_right(up, low):]:
+            for d in chunk[i:]:
                 e = a + d + 2 * isqrt(a * d + n)
                 if e > limit:
                     break  # e rises with d
                 ext.append(e)
-            ext_counts[a - lo] = len(ext) - had
-        return chunk, counts, ext, ext_counts
+            if len(ext) > had:
+                spans.extend((i, i + len(ext) - had))
+        return chunk, counts, ext, spans
 
-    # stage 1: up(a) = adj[start[a]:start[a + 1]], ascending; counts and
-    # ext_counts are indexed by seed
-    adj, counts, ext, ext_counts = array("i"), array("i", [0]), array("i"), array("i", [0])
-    for part in fork_map(neighbours, seed_blocks(low, jobs), jobs):
-        for whole, more in zip((adj, counts, ext, ext_counts), part):
-            whole.extend(more)
-    low_start = array("i", accumulate(counts, initial=0))  # start[a] for a <= low + 1
-    del counts
+    # the CSR: up(a) = adj[start[a]:start[a + 1]], ascending. start first
+    # counts each list, that of a <= low at start[a + 1] and that of d > low
+    # one further up, at start[d + 2] (up(limit) is empty); prefix sums then
+    # make start[a] the first index of up(a), and start[d + 1] that of up(d),
+    # which the counting sort walks forward to the first index of up(d + 1)
+    start = array("i", [0]) * (limit + 2)
+    adj, ext, spans = array("i"), array("i"), array("i")
+    blocks = seed_blocks(low, jobs)
+    for (chunk, counts, es, where), (lo, hi) in zip(fork_map(neighbours, blocks, jobs), blocks):
+        spans.extend(map(len(adj).__add__, where))  # spans into adj, not chunk
+        adj.extend(chunk)
+        start[lo + 1:hi + 1] = counts
+        ext.extend(es)
     # a square n = m*m puts d + 2m first in each list above low: its
     # lower partner is 0
     m = isqrt(n) if n > 0 else 0
-    square = m * m == n
+    rooted = range(low + 1, limit - 2 * m + 1 if m * m == n else low + 1)
 
-    def extended() -> Iterator[int]:
-        # the d of each list entry above low, in seed order: d + 2m, then
-        # for each e in ext a's next partner above low, up to ext_counts[a]
-        if square:
-            yield from range(low + 1, limit - 2 * m + 1)
-        for a in compress(range(low + 1), ext_counts):
-            i = bisect_right(adj, low, low_start[a], low_start[a + 1])
-            yield from adj[i:i + ext_counts[a]]
+    def owners() -> Iterator[int]:
+        # the d whose list each extension in ext joins, in seed order
+        return chain.from_iterable(adj[i:j] for i, j in zip(spans[::2], spans[1::2]))
 
     # the lists above low, by a counting sort
-    above = array("i", [0]) * (limit - low)  # above[d - low - 1] = len(up(d))
-    for d in extended():
-        above[d - low - 1] += 1
-    start = low_start[:-1]
-    start.extend(accumulate(above, initial=low_start[-1]))
-    del above
+    start[low + 3:low + 3 + len(rooted)] = array("i", [1]) * len(rooted)
+    for d in owners():
+        start[d + 2] += 1
+    for lo, hi in seed_blocks(limit + 1, 1):  # in slices, not a copy of start
+        start[lo - 1:hi] = array("i", accumulate(start[lo - 1:hi]))
     adj.extend(repeat(0, start[-1] - len(adj)))
-    square_es = range(low + 1 + 2 * m, limit + 1) if square else ()
-    for d, e in zip(extended(), chain(square_es, ext)):
-        i = start[d]  # where d's next entry goes
+    tops = range(rooted.start + 2 * m, rooted.stop + 2 * m)  # d + 2m for d in rooted
+    for d, e in zip(chain(rooted, owners()), chain(tops, ext)):
+        i = start[d + 1]  # where d's next entry goes
         adj[i] = e
-        start[d] = i + 1
-    # each start[d] above low has moved on to start[d + 1]: shift them back
-    start.insert(low + 1, low_start[-1])
-    start.pop()
-    del ext, ext_counts, low_start
+        start[d + 1] = i + 1
+    del ext, spans
 
     def grow(lo: int, hi: int) -> tuple[list, int, int, int]:
         # stage 2 on seeds [lo, hi): the reported tuples, each as its

@@ -24,6 +24,16 @@ def jobs_for(work: int, floor: int) -> int:
     return usable_cpus() if hasattr(os, "fork") and work >= floor else 1
 
 
+def crash_text(exc: BaseException) -> str:
+    """repr(exc) at the file:line that raised it, or repr(exc) alone for a WorkerError."""
+    if isinstance(exc, WorkerError):  # raised in fork_map, whose line would add nothing
+        return repr(exc)
+    import traceback  # only a crash pays for this import
+
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"
+
+
 def fork_map(fn: Callable[[int, int], T], blocks: list[tuple[int, int]],
              jobs: int) -> Iterator[T]:
     """fn(lo, hi) for each block in turn, computed by up to jobs forked workers.
@@ -98,10 +108,6 @@ def _serve(fn: Callable[[int, int], object], blocks: list[tuple[int, int]], repl
             out.flush()
         status = 0
     except BaseException as exc:
-        import traceback
-
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        failure = f"{exc!r} at {os.path.basename(where.filename)}:{where.lineno}"
-        os.write(reply, pickle.dumps((False, failure)))  # out was flushed after its last reply
+        os.write(reply, pickle.dumps((False, crash_text(exc))))  # out was flushed after each reply
     finally:
         os._exit(status)

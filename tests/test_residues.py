@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from dntuple.residues import (
     smallest_factor_sieve,
     sqrt_mod_prime_power,
 )
+from dntuple.search import MAX_LIMIT
 
 SPF_2K = smallest_factor_sieve(2000)
 
@@ -24,6 +26,12 @@ def test_sieve_marks_composites_with_smallest_factor():
         p = spf[k] or k
         assert k % p == 0
         assert all(k % q for q in range(2, p))  # nothing smaller divides
+
+
+def test_sieve_entries_are_16_bit_and_hold_every_factor_below_the_search_cap():
+    # every stored factor is at most isqrt(limit), so each fits up to MAX_LIMIT
+    assert smallest_factor_sieve(100).typecode == "H"
+    assert isqrt(MAX_LIMIT) < 2**16
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 3),
