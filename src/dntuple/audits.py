@@ -13,8 +13,8 @@ numbering for these statements and match the CLI's --checks vocabulary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .exact import pow_compare
@@ -74,15 +74,14 @@ class LemmaThreeWitness(NamedTuple):
         return n2 * c == n2 * (a + b) + n * self.e + 2 * (a * b * self.e + r * self.x * self.y)
 
 
-@dataclass(frozen=True)
-class GapAuditRecord:
+class GapAuditRecord(NamedTuple):
     """Exact ratios and verdicts for one quadruple slice a<b<c<d."""
 
     quad: DTuple
     lemma5_c_ratio: Fraction | None = None  # c/a, tested against 3.88
     lemma5_d_ratio: Fraction | None = None  # d/c, tested against 4.89
     corollary_margin: Fraction | None = None  # d*n^2 / (b*c), tested against 1
-    verdicts: Mapping[str, bool] = field(default_factory=dict)
+    verdicts: Mapping[str, bool] = MappingProxyType({})  # read-only: the default is shared
 
     @property
     def passed(self) -> bool:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
-from .tuples import InputError, ZeroNError
+from .tuples import InputError, ZeroNError, exact_epsilon
 
 # smallest accepted epsilon: k and ell grow like log(1/eps), and the cached
 # beta sequence with them, up to an entry near 260/eps; at 2^-1024 that is
@@ -48,10 +48,7 @@ def beta(i: int) -> int:
 
 
 def _as_epsilon(value) -> Fraction:
-    # floats carry silent binary rounding; insist on exact input
-    if isinstance(value, float):
-        raise InputError(f"epsilon must be an exact rational, got float {value!r}")
-    eps = Fraction(value)
+    eps = exact_epsilon(value)
     # no value in the message: str() of a huge numerator or denominator raises
     if not MIN_EPSILON <= eps <= 1:
         raise InputError("epsilon must lie in [2^-1024, 1]")
@@ -76,8 +73,7 @@ def ell_epsilon(epsilon) -> int:
     return thresholds(epsilon).ell
 
 
-@dataclass(frozen=True)
-class EpsilonThresholds:
+class EpsilonThresholds(NamedTuple):
     epsilon: Fraction
     k: int
     ell: int
@@ -154,8 +150,7 @@ def _log_gap():
         return mpmath.log(mpmath.mpf(489) / 100)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A leading-order value whose lower-order constant is not certified."""
 
     value: float
@@ -175,8 +170,7 @@ def c_bound_leading(n: int) -> Estimate:
     return Estimate(value=2 * math.log(abs(n)), certified=False)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound at one (n, eps); None where the bound's hypothesis excludes n."""
 
     n: int
@@ -256,8 +250,7 @@ def m_bound_report(n: int) -> BoundReport:
     # max of the two evaluations; ties broken toward the lower-eps pair
     k, ell = (rep.k, rep.ell) if rep.a_eps_bound > lo.k + lo.ell else (lo.k, lo.ell)
     a = k + ell
-    return replace(
-        rep,
+    return rep._replace(
         k=k,
         ell=ell,
         a_eps_bound=a,

@@ -67,9 +67,10 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
 from contextlib import closing
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, pairwise, repeat
 from math import isqrt
+from operator import ne
+from typing import NamedTuple
 
 from .residues import RootTable, smallest_factor_sieve, walk
 from .tuples import DTuple, InputError, ZeroNError, extenders, verify
@@ -122,28 +123,37 @@ FORK_MIN_PAIRS = 160_000
 BLOCKS_PER_WORKER = 64
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Parameters of one bounded search."""
-
+class _SearchFields(NamedTuple):
     n: int
     limit: int
     min_report_size: int = 3
     max_results: int | None = None
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchFields):
+    """Parameters of one bounded search."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, limit: int, min_report_size: int = 3,
+                max_results: int | None = None) -> SearchConfig:
         # before anything is allocated
-        if self.n == 0:
+        if n == 0:
             raise ZeroNError("n must be nonzero")
-        if not 1 <= self.limit <= MAX_LIMIT:
-            raise InputError(f"limit must be in [1, {MAX_LIMIT}], got {self.limit}")
-        if self.min_report_size < 1:
-            raise InputError(f"min_report_size must be >= 1, got {self.min_report_size}")
-        if self.max_results is not None and self.max_results < 1:
-            raise InputError(f"max_results must be >= 1, got {self.max_results}")
+        if not 1 <= limit <= MAX_LIMIT:
+            raise InputError(f"limit must be in [1, {MAX_LIMIT}], got {limit}")
+        if min_report_size < 1:
+            raise InputError(f"min_report_size must be >= 1, got {min_report_size}")
+        if max_results is not None and max_results < 1:
+            raise InputError(f"max_results must be >= 1, got {max_results}")
+        return super().__new__(cls, n, limit, min_report_size, max_results)
+
+    @classmethod
+    def _make(cls, fields) -> SearchConfig:
+        # _replace builds through _make, which would skip the checks above
+        return cls(*fields)
 
 
-@dataclass
 class SearchReport:
     """Everything one search produced, in deterministic order.
 
@@ -159,12 +169,16 @@ class SearchReport:
     graph, which is built over every seed first.
     """
 
-    config: SearchConfig
-    maximal_tuples: list[DTuple] = field(default_factory=list)
-    empirical_max_size: int = 0
-    nodes_visited: int = 0
-    candidates_tested: int = 0
-    result_cap_exceeded: bool = False
+    __slots__ = ("config", "maximal_tuples", "empirical_max_size", "nodes_visited",
+                 "candidates_tested", "result_cap_exceeded")
+
+    def __init__(self, config: SearchConfig):
+        self.config = config
+        self.maximal_tuples: list[DTuple] = []
+        self.empirical_max_size = 0
+        self.nodes_visited = 0
+        self.candidates_tested = 0
+        self.result_cap_exceeded = False
 
 
 def search_maximal(config: SearchConfig) -> SearchReport:
@@ -316,13 +330,19 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
             elif size >= min_report and not has_left_extension(stack):
                 found.append((tuple(stack), best, nodes, cands))
 
-        for a in range(lo, hi):
-            if min_report > 1 and start[a] == start[a + 1]:
-                # a childless seed is a one-node leaf, too small to report
-                nodes += 1
+        seeds = range(lo, hi)
+        if min_report > 1:
+            # a childless seed is a one-node leaf, too small to report:
+            # only the others are explored, and the skipped ones counted
+            seeds = compress(seeds, map(ne, start[lo:hi], start[lo + 1:hi + 1]))
+        counted = lo  # the seeds below this one are counted
+        for a in chain(seeds, (hi,)):
+            if a > counted:
+                nodes += a - counted
                 best = best or 1
-                continue
-            explore([a], adj[start[a]:start[a + 1]])
+            if a < hi:
+                explore([a], adj[start[a]:start[a + 1]])
+            counted = a + 1
         # explore refers to itself; the cycle would keep this block's tuples
         # and the CSR alive until the cyclic collector ran
         del explore

@@ -8,12 +8,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Container, Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import ceil_sqrt, pow_compare, square_root_if_square
 from .residues import walk
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InputError(ValueError):
@@ -48,8 +49,7 @@ class PairWitness(NamedTuple):
     r: int
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
+class VerificationFailure(NamedTuple):
     """First pair (in lexicographic order) whose product plus n is not a square."""
 
     n: int
@@ -61,11 +61,12 @@ class VerificationFailure:
         return f"{a}*{b}+{self.n} = {a * b + self.n} is not a perfect square"
 
 
-@dataclass(frozen=True)
-class DTuple:
+class DTuple(NamedTuple):
     """A fully witnessed D(n) tuple, elements strictly increasing.
 
     Construct through verify(); the constructor itself does not check.
+    As a NamedTuple it iterates over n, elements and witnesses, not over
+    the elements.
     """
 
     n: int
@@ -97,8 +98,7 @@ class DTuple:
                       tuple(w for w in self.witnesses if w.a in keep and w.b in keep))
 
 
-@dataclass(frozen=True)
-class RangeClassification:
+class RangeClassification(NamedTuple):
     """Element counts of one tuple split by the standard ranges.
 
     small        [1, n^2]
@@ -242,9 +242,10 @@ def classify(t: DTuple, epsilon: Fraction) -> RangeClassification:
     """Count members in each range band, all boundaries decided exactly.
 
     The epsilon boundary x <= |n|^(2+eps) with eps = p/q is evaluated as
-    x^q <= |n|^(2q+p) in integers, no rounding anywhere.
+    x^q <= |n|^(2q+p) in integers, no rounding anywhere. A float epsilon
+    raises InputError.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = exact_epsilon(epsilon)
     if epsilon <= 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     n = t.n
@@ -277,3 +278,12 @@ def classify(t: DTuple, epsilon: Fraction) -> RangeClassification:
         eps_large_count=eps_large,
         degenerate_ranges=(n_abs == 1),
     )
+
+
+def exact_epsilon(value) -> Fraction:
+    """value as a Fraction; a float raises InputError, its binary rounding would pass silently."""
+    from fractions import Fraction  # not at the top: the search never needs it
+
+    if isinstance(value, float):
+        raise InputError(f"epsilon must be an exact rational, got float {value!r}")
+    return Fraction(value)

@@ -146,6 +146,17 @@ def test_gap_corollary_doubled_fib():
     assert rec.lemma5_c_ratio is None
 
 
+def test_gap_record_is_immutable_and_shares_no_mutable_default():
+    rec = audit_gap_corollary(vt(DOUBLED_FIB, 4))
+    with pytest.raises(AttributeError):
+        rec.corollary_margin = None
+    bare = GapAuditRecord(quad=rec.quad)
+    assert (bare.lemma5_c_ratio, bare.lemma5_d_ratio, bare.corollary_margin) == (None,) * 3
+    assert bare.verdicts == {} and bare.passed
+    with pytest.raises(TypeError):
+        bare.verdicts["lemma5_c"] = False  # the default is read-only, so no record can fill it
+
+
 def test_gap_precondition_gates():
     fermat = vt((1, 3, 8, 120), 1)
     with pytest.raises(PreconditionNotMetError):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dntuple import bounds
 from dntuple.bounds import (
     MIN_EPSILON,
+    BoundReport,
+    Estimate,
     IndexTooSmallError,
     NotApplicableError,
     a_eps_bound,
@@ -176,8 +178,22 @@ def test_epsilon_domain():
         k_epsilon(Fraction(3, 2))
     with pytest.raises(InputError):
         k_epsilon(0.5)  # floats carry silent rounding; rejected
+    with pytest.raises(InputError, match="epsilon must be an exact rational, got float 0.1"):
+        b_eps_bound(4, 0.1)
     with pytest.raises(InputError):
         ell_epsilon(-1)
+
+
+def test_bound_records_are_immutable_with_their_defaults():
+    est = Estimate(value=1.5)
+    assert est.certified is False
+    rep = bound_report(10**6, 1)
+    assert rep.notes == ()
+    th = thresholds(Fraction(1, 2))
+    for record, field in ((est, "value"), (rep, "k"), (th, "ell")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert BoundReport(**rep._asdict()) == rep
 
 
 def test_b_eps_examples():

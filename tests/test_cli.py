@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from dntuple import cli, workers
 from dntuple.cli import main
 from dntuple.search import MAX_LIMIT, SearchConfig, search_maximal
 from dntuple.serialize import (
+    ARTIFACT_VERSION,
     canonical_json,
     fraction_str,
     line_blocks,
@@ -593,9 +595,14 @@ def test_public_names_resolve_and_are_documented():
     import dntuple
 
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert set(dntuple.__all__) <= set(dir(dntuple))
     for name in dntuple.__all__:
         assert hasattr(dntuple, name), name
         assert f"`{name}`" in readme, name
+    assert dntuple.__version__ == dntuple.ARTIFACT_VERSION == ARTIFACT_VERSION
+    assert dntuple.SearchConfig is SearchConfig
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dntuple.no_such_name
 
 
 def test_console_entry_point():
@@ -635,6 +642,45 @@ def test_cli_import_leaves_out_mpmath():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _modules_after(statement: str) -> set[str]:
+    # the modules a fresh interpreter holds after statement, beyond its start-up ones
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); " + statement
+         + "; print(' '.join(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_module():
+    # every public name is imported on first use
+    assert {m for m in _modules_after("import dntuple") if m.startswith("dntuple.")} == set()
+
+
+def test_search_import_loads_only_its_modules():
+    loaded = _modules_after("import dntuple.search")
+    assert {m for m in loaded if m.startswith("dntuple")} == {
+        "dntuple", "dntuple.search", "dntuple.tuples", "dntuple.residues", "dntuple.exact",
+        "dntuple.workers"}
+    assert loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"} == set()
+
+
+def test_cli_import_leaves_out_dataclasses():
+    assert _modules_after("import dntuple.cli") & {"dataclasses", "inspect"} == set()
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples; dataclasses (and inspect with it) would load on every start
+    banned = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
+    src = pathlib.Path(__file__).parents[1] / "src" / "dntuple"
+    found = [path.name for path in sorted(src.rglob("*.py"))
+             if banned.search(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 # serialization internals

@@ -40,6 +40,24 @@ def test_config_validation():
         SearchConfig(n=1, limit=10, max_results=0)
 
 
+def test_config_and_report_records():
+    config = SearchConfig(4, 100)
+    assert config == SearchConfig(n=4, limit=100, min_report_size=3, max_results=None)
+    with pytest.raises(AttributeError):
+        config.limit = 10
+    with pytest.raises(InputError, match=r"limit must be in \[1, 10000000\], got 0"):
+        SearchConfig(4, 0)
+    with pytest.raises(InputError, match="got 0"):
+        config._replace(limit=0)
+    assert config._replace(limit=50) == SearchConfig(4, 50)
+    report = SearchReport(config)
+    assert report.config is config
+    assert report.maximal_tuples == []
+    assert (report.empirical_max_size, report.nodes_visited, report.candidates_tested,
+            report.result_cap_exceeded) == (0, 0, 0, False)
+    assert SearchReport(config).maximal_tuples is not report.maximal_tuples
+
+
 def test_limit_above_cap_is_rejected_before_allocation(monkeypatch):
     def no_sieve(limit):
         raise AssertionError(f"sieve of {limit} allocated")

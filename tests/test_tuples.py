@@ -225,6 +225,32 @@ def test_classify_rejects_nonpositive_epsilon():
         classify(t, Fraction(0))
 
 
+def test_classify_rejects_a_float_epsilon():
+    # 0.1 would run silently at 3602879701896397/2**55
+    t = verify((1, 3, 8, 120), 1)
+    with pytest.raises(InputError, match="epsilon must be an exact rational, got float 0.1"):
+        classify(t, 0.1)
+
+
+@pytest.mark.parametrize("record, field", [
+    (verify((1, 3, 8, 120), 1), "elements"),
+    (verify((1, 3, 7), 1), "pair"),
+    (classify(verify((1, 3, 8, 120), 1), Fraction(1, 2)), "small_count"),
+])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_record_construction_and_text_unchanged():
+    t = verify((1, 3, 8, 120), 1)
+    assert DTuple(n=1, elements=t.elements, witnesses=t.witnesses) == t
+    assert t.subtuple((3, 8)).elements == (3, 8)
+    fail = VerificationFailure(n=1, elements=(1, 3, 7), pair=(1, 7))
+    assert verify((1, 3, 7), 1) == fail
+    assert str(fail) == "1*7+1 = 8 is not a perfect square"
+
+
 @given(st.integers(min_value=-8, max_value=8).filter(lambda n: n != 0),
        st.integers(min_value=1, max_value=400))
 @settings(max_examples=150)
