@@ -4,11 +4,12 @@ The growth argument for tuples with property D(n) splits elements at
 n^2 and |n|^(2+eps). Elements above the upper cut are counted by two
 index thresholds k(eps) and ell(eps) on the recurrence beta_2 = beta_3
 = 1, beta_{i+2} = beta_i + beta_{i+1}; elements in the middle window by
-a sliding-gap count. All threshold decisions run in exact integer
-arithmetic. The only floating point in this module sits behind explicit
-directed-rounding slop (b_eps_bound) or an Estimate carrying
-certified=False (leading-order terms whose absolute constants are not
-pinned down).
+a sliding-gap count. Every certified number is exact: the thresholds
+come from integer scans, and the window cap and the prescribed epsilon
+are floors of logarithm quotients, decided from exact.ln_bracket's
+integer brackets. The only floating point in this module is an Estimate
+carrying certified=False (leading-order terms whose absolute constants
+are not pinned down).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
+from .exact import ln_bracket
 from .tuples import InputError, ZeroNError, exact_epsilon
 
 # smallest accepted epsilon: k and ell grow like log(1/eps), and the cached
@@ -110,44 +112,57 @@ def b_eps_bound(n: int, epsilon) -> int:
 
     Consecutive elements there grow by more than 4.89x from the fourth
     onward (the sliding-window gap bound), so beyond the first three the
-    window admits at most log_{4.89}(|n|^eps) more. The cap is
-    floor(eps*log|n| / log 4.89) + 3, with the quotient nudged upward a
-    few ulps before flooring so float rounding can never understate it.
+    window admits at most log_{4.89}(|n|^eps) more. The cap is the exact
+    floor(eps*ln|n| / ln 4.89) + 3, with no rounding slop: see
+    _window_caps for how the floor is decided and why that ends.
     """
     eps = _as_epsilon(epsilon)
-    return _window_cap(eps, _log_gaps(n))
+    if abs(_as_n(n)) == 1:
+        raise NotApplicableError("window count bound needs |n| >= 2")
+    return _window_caps(abs(n), (eps,))[0]
 
 
-def _log_gaps(n: int):
-    # log|n| / log 4.89, the part of b_eps_bound that depends on n alone
+def _as_n(n) -> int:
+    # exact type test: bool is an int subclass, and a float would pass the
+    # range checks and give a bound for a non-integer n
+    if type(n) is not int:
+        raise InputError(f"n must be an integer, got {n!r}")
     if n == 0:
         raise ZeroNError("n must be nonzero")
-    if abs(n) == 1:
-        raise NotApplicableError("window count bound needs |n| >= 2")
-    import mpmath  # only the commands that compute a bound pay for this import
-
-    with mpmath.workprec(128):
-        return mpmath.log(abs(n)) / _log_gap()
+    return n
 
 
-def _window_cap(eps: Fraction, log_gaps) -> int:
-    # b_eps_bound from its n part, _log_gaps(n)
-    import mpmath
+def _window_caps(m: int, epsilons: Sequence[Fraction]) -> list[int]:
+    """floor(eps*ln m / ln 4.89) + 3 for each eps, exactly, for m >= 2.
 
-    with mpmath.workprec(128):
-        q = mpmath.mpf(eps.numerator) / eps.denominator
-        q *= log_gaps
-        q += mpmath.ldexp(q, -96) + mpmath.ldexp(mpmath.mpf(1), -96)
-        return int(mpmath.floor(q)) + 3
+    With eps = p/q and brackets lo_a <= 2^b*ln m <= hi_a and
+    lo_g <= 2^b*ln 4.89 <= hi_g, the quotient lies between
+    p*lo_a/(q*hi_g) and p*hi_a/(q*lo_g). When both have the same floor,
+    that is the floor; otherwise b doubles. This ends: the brackets
+    shrink to the quotient, and the quotient is no integer. It is
+    positive, and a quotient equal to j >= 1 would need
+    m^p * 100^(jq) = 489^(jq), whose left side is even and right odd.
+    """
+    bits = 64  # settles nearly every floor at the first try
+    lo_a, hi_a = ln_bracket(m, 1, bits)
+    caps = []
+    for eps in epsilons:
+        p, q = eps.numerator, eps.denominator
+        while True:
+            lo_g, hi_g = _ln_gap(bits)
+            floor = p * lo_a // (q * hi_g)
+            if floor == p * hi_a // (q * lo_g):
+                break
+            bits *= 2
+            lo_a, hi_a = ln_bracket(m, 1, bits)
+        caps.append(floor + 3)
+    return caps
 
 
 @cache
-def _log_gap():
-    # log of the window's growth factor 4.89, computed once
-    import mpmath
-
-    with mpmath.workprec(128):
-        return mpmath.log(mpmath.mpf(489) / 100)
+def _ln_gap(bits: int) -> tuple[int, int]:
+    # the bracket of ln 4.89, the window's growth factor, at each precision used
+    return ln_bracket(489, 100, bits)
 
 
 class Estimate(NamedTuple):
@@ -163,9 +178,7 @@ def c_bound_leading(n: int) -> Estimate:
     The second-order term has an unknown constant, so this is an
     estimate and is flagged as such, never a certified bound.
     """
-    if n == 0:
-        raise ZeroNError("n must be nonzero")
-    if abs(n) <= 2:
+    if abs(_as_n(n)) <= 2:
         raise NotApplicableError("leading-term estimate needs |n| >= 3")
     return Estimate(value=2 * math.log(abs(n)), certified=False)
 
@@ -192,19 +205,21 @@ def bound_report(n: int, epsilon) -> BoundReport:
 def bound_grid(ns: Sequence[int], epsilons: Iterable) -> list[BoundReport]:
     """bound_report(n, eps) for each n in turn, and each eps within one n.
 
-    The thresholds are computed once per eps, and the window cap's log|n|
-    quotient and the estimate once per n, not once per row.
+    The thresholds are computed once per eps, and the bracket of ln|n|
+    and the estimate once per n, not once per row.
     """
-    if 0 in ns:
-        raise ZeroNError("n must be nonzero")
+    for n in ns:
+        _as_n(n)
     ths = [thresholds(eps) for eps in epsilons]
     rows = []
     for n in ns:
-        log_gaps = _log_gaps(n) if abs(n) >= 2 else None
+        if abs(n) >= 2:
+            caps = _window_caps(abs(n), [th.epsilon for th in ths])
+        else:
+            caps = [None] * len(ths)
         c = c_bound_leading(n) if abs(n) >= 3 else None
-        for th in ths:
+        for th, b in zip(ths, caps):
             a = th.k + th.ell
-            b = None if log_gaps is None else _window_cap(th.epsilon, log_gaps)
             rows.append(BoundReport(
                 n=n,
                 epsilon=th.epsilon,
@@ -219,15 +234,26 @@ def bound_grid(ns: Sequence[int], epsilons: Iterable) -> list[BoundReport]:
 
 
 def _prescribed_epsilon_bracket(m: int) -> tuple[Fraction, Fraction]:
-    # rationals with 64 fractional bits enclosing loglog(m)/log(m),
-    # slopped one ulp outward on each side
-    import mpmath
+    """[(F-1)/2^64, (F+2)/2^64] with F = floor(2^64*ln ln m / ln m), for m >= 3.
 
-    with mpmath.workprec(192):
-        scaled = mpmath.ldexp(mpmath.log(mpmath.log(m)) / mpmath.log(m), 64)
-        lo = Fraction(int(mpmath.floor(scaled)) - 1, 2**64)
-        hi = Fraction(int(mpmath.ceil(scaled)) + 1, 2**64)
-    return max(lo, Fraction(1, 2**64)), min(hi, Fraction(1))
+    F is decided like the window cap: ln m lies in a bracket
+    [lo, hi]/2^b, ln ln m between the logarithms of its ends, and b
+    doubles until both ends of the quotient have the same floor. That
+    ends because the quotient is irrational: ln ln m = (u/v)*ln m would
+    make (ln m)^v = m^u algebraic, but ln m is transcendental. The ends
+    are clamped into [2^-64, 1].
+    """
+    bits = 128
+    while True:
+        lo, hi = ln_bracket(m, 1, bits)
+        # lo >= 1 for m >= 3, so its logarithm is defined
+        ll_lo, ll_hi = ln_bracket(lo, 1 << bits, bits)[0], ln_bracket(hi, 1 << bits, bits)[1]
+        floor = (ll_lo << 64) // hi
+        if floor == (ll_hi << 64) // lo:
+            break
+        bits *= 2
+    lo_eps = max(Fraction(floor - 1, 2**64), Fraction(1, 2**64))
+    return lo_eps, min(Fraction(floor + 2, 2**64), Fraction(1))
 
 
 def m_bound_report(n: int) -> BoundReport:
@@ -240,9 +266,7 @@ def m_bound_report(n: int) -> BoundReport:
     same reason in the other direction. The published epsilon is the
     upper rounding and the notes record the bracket.
     """
-    if n == 0:
-        raise ZeroNError("n must be nonzero")
-    if abs(n) < 16:
+    if abs(_as_n(n)) < 16:
         raise NotApplicableError("prescribed-epsilon report needs |n| >= 16")
     eps_lo, eps_hi = _prescribed_epsilon_bracket(abs(n))
     rep = bound_report(n, eps_hi)

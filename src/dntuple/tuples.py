@@ -281,9 +281,12 @@ def classify(t: DTuple, epsilon: Fraction) -> RangeClassification:
 
 
 def exact_epsilon(value) -> Fraction:
-    """value as a Fraction; a float raises InputError, its binary rounding would pass silently."""
+    """value as a Fraction; a float or bool raises InputError.
+
+    A float's binary rounding would pass silently, and a bool would run as 0 or 1.
+    """
     from fractions import Fraction  # not at the top: the search never needs it
 
-    if isinstance(value, float):
-        raise InputError(f"epsilon must be an exact rational, got float {value!r}")
+    if isinstance(value, (float, bool)):
+        raise InputError(f"epsilon must be an exact rational, got {type(value).__name__} {value!r}")
     return Fraction(value)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath  # test-only: sympy's own dependency, an independent logarithm
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from dntuple.bounds import (
     a_eps_bound,
     b_eps_bound,
     beta,
+    bound_grid,
     bound_report,
     c_bound_leading,
     ell_epsilon,
@@ -22,7 +24,7 @@ from dntuple.bounds import (
     thresholds,
     _prescribed_epsilon_bracket,
 )
-from dntuple.tuples import InputError, ZeroNError
+from dntuple.tuples import InputError, ZeroNError, exact_epsilon
 
 
 def fib_doubling(m: int) -> int:
@@ -225,6 +227,38 @@ def test_b_eps_never_undershoots_the_real_quotient(n_abs, eps):
     assert got <= math.floor(q + 1e-9) + 4
 
 
+def window_oracle(n_abs: int, eps: Fraction) -> int:
+    # largest j >= 0 with 489^(jq) <= 100^(jq)*|n|^p, plus 3: the window cap
+    # decided by integer powers alone, with no logarithm
+    p, q = eps.numerator, eps.denominator
+    j = 0
+    while 489 ** ((j + 1) * q) <= 100 ** ((j + 1) * q) * n_abs**p:
+        j += 1
+    return j + 3
+
+
+@given(st.integers(min_value=2, max_value=10**12), st.integers(min_value=1, max_value=16),
+       st.integers(min_value=1, max_value=16), st.booleans())
+@settings(max_examples=300)
+def test_b_eps_equals_integer_power_oracle(n_abs, p, q, negative):
+    eps = Fraction(min(p, q), q)
+    n = -n_abs if negative else n_abs
+    assert b_eps_bound(n, eps) == window_oracle(n_abs, eps)
+    assert bound_report(n, eps).b_eps_bound == window_oracle(n_abs, eps)
+
+
+def test_b_eps_is_the_exact_floor_just_below_a_power_of_489_100():
+    # |n| = floor(4.89^j) puts eps*ln|n|/ln 4.89 within 10^-27 below an integer;
+    # the cap is the exact floor there, not one above it
+    for j in (1, 2, 10, 39, 59):
+        m = 489**j // 100**j
+        assert m * 100**j < 489**j
+        for eps in (Fraction(1), Fraction(1, 3), Fraction(2, 3)):
+            assert b_eps_bound(m, eps) == window_oracle(m, eps)
+        assert b_eps_bound(m, 1) == j + 2
+        assert b_eps_bound(m + 1, 1) == j + 3
+
+
 def test_c_bound_leading():
     est = c_bound_leading(3)
     assert est.value == pytest.approx(2 * math.log(3))
@@ -269,6 +303,21 @@ def test_m_bound_report_million():
     assert rep.notes
 
 
+def prescribed_by_mpmath(m: int) -> tuple[Fraction, Fraction]:
+    # the bracket from a 256-bit evaluation of 2^64*loglog(m)/log(m)
+    with mpmath.workprec(256):
+        f = int(mpmath.floor(mpmath.ldexp(mpmath.log(mpmath.log(m)) / mpmath.log(m), 64)))
+    return max(Fraction(f - 1, 2**64), Fraction(1, 2**64)), min(Fraction(f + 2, 2**64), Fraction(1))
+
+
+def test_prescribed_epsilon_bracket_matches_mpmath():
+    # the benchmark's |n| in [16, 215], a sample up to 10^6 and a few far beyond
+    ms = list(range(16, 216)) + list(range(216, 10**6, 4999)) + [10**6]
+    ms += [10**j + d for j in (9, 30, 100, 300) for d in (-1, 0, 1)]
+    for m in ms:
+        assert _prescribed_epsilon_bracket(m) == prescribed_by_mpmath(m), m
+
+
 def test_m_bound_gates():
     with pytest.raises(NotApplicableError):
         m_bound_report(15)
@@ -293,3 +342,29 @@ def test_m_bound_report_internally_consistent(n):
     # evaluating at the published (upper) epsilon can only shrink k, ell
     assert k_epsilon(rep.epsilon) <= rep.k
     assert ell_epsilon(rep.epsilon) <= rep.ell
+
+
+@pytest.mark.parametrize("bad", [3.5, 16.0, True, False, "16", Fraction(16)])
+def test_bounds_refuse_an_n_that_is_not_an_int(bad):
+    with pytest.raises(InputError, match="n must be an integer"):
+        b_eps_bound(bad, 1)
+    with pytest.raises(InputError, match="n must be an integer"):
+        c_bound_leading(bad)
+    with pytest.raises(InputError, match="n must be an integer"):
+        bound_grid([bad], [1])
+    with pytest.raises(InputError, match="n must be an integer"):
+        bound_grid([16, bad], [1])
+    with pytest.raises(InputError, match="n must be an integer"):
+        bound_report(bad, 1)
+    with pytest.raises(InputError, match="n must be an integer"):
+        m_bound_report(bad)
+
+
+def test_bounds_refuse_a_bool_epsilon():
+    for fn in (exact_epsilon, thresholds, k_epsilon, ell_epsilon, a_eps_bound):
+        with pytest.raises(InputError, match="got bool True"):
+            fn(True)
+    with pytest.raises(InputError, match="got bool"):
+        b_eps_bound(100, False)
+    with pytest.raises(InputError, match="got bool"):
+        bound_grid([100], [True])

@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -380,16 +381,36 @@ def test_bounds_theorem1_cli(capsys):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("golden, argv", [
+GOLDEN_BOUNDS = [
     # n = 1 and 2 carry the null b_eps_bound / c_leading / m_leading columns
     ("bounds_grid.jsonl", ["--n-grid", "1,2,3,-7,16,-20,1000000",
                            "--eps-grid", "1,1/2,1/10"]),
     ("bounds_theorem1.jsonl", ["--n-grid", "16,-20,1000000", "--theorem1"]),
-])
+]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_BOUNDS)
 def test_bounds_output_matches_golden_bytes(capsys, golden, argv):
     code, out, _ = run_cli(capsys, "bounds", *argv)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+# sha256 of the two bounds outputs that perfbench's report_pipeline digests:
+# its 400 n (16 <= |n| <= 215) by five epsilons, and --theorem1 over the same
+# n; recorded when the logarithms still came from mpmath
+BENCH_GRID = ",".join(str(n) for k in range(16, 216) for n in (-k, k))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--eps-grid", "1,1/2,1/4,1/8,1/10"],
+     "d6c77f9f61b6b09849dd3c140830cab1262ce4b94275f2e8e5247391b4614aed"),
+    (["--theorem1"], "2a956636e88cd87ad629bf5085a7db64bddd7a10b6195c62b8947b71401db41f"),
+])
+def test_benchmark_bounds_outputs_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "bounds", f"--n-grid={BENCH_GRID}", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_bounds_requires_eps_without_theorem1(capsys):
@@ -632,16 +653,35 @@ def test_cli_import_leaves_out_process_pools():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_out_mpmath():
-    # only bounds needs mpmath; the other commands should not import it
+def test_no_module_imports_mpmath():
+    # the bounds take their logarithms from exact.ln_bracket; the package has
+    # no runtime dependency
+    banned = re.compile(r"^\s*(?:import|from)\s+mpmath\b", re.MULTILINE)
+    src = pathlib.Path(__file__).parents[1] / "src" / "dntuple"
+    found = [path.name for path in sorted(src.rglob("*.py"))
+             if banned.search(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_BOUNDS)
+def test_bounds_run_on_the_standard_library_alone(golden, argv):
+    # with mpmath made unimportable, bounds still writes its golden bytes, and
+    # every module it loaded is in the standard library or in dntuple
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dntuple.cli; print('mpmath' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+    script = (
+        "import sys; sys.modules['mpmath'] = None; before = set(sys.modules)\n"
+        "from dntuple.cli import main\n"
+        f"code = main(['bounds', *{argv!r}])\n"
+        "sys.stdout.flush()\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'dntuple'}), file=sys.stderr)\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
+    assert proc.stderr.decode().strip() == "[]"
 
 
 def _modules_after(statement: str) -> set[str]:
