@@ -1,71 +1,17 @@
-# Bounded exhaustive search for maximal D(n) tuples inside [1, limit].
-#
-# Two stages, the shape of the brute-force oracle (tests/naive_oracle.py).
-# Stage 1 stores each seed a's upper neighbours
-# {d in (a, limit] : a*d + n square} in a CSR: an int32 array of
-# neighbours and one of per-seed offsets. The seeds a <= low, with
-# low = min(limit, max(limit // 4, |n|)), are walked: residues.walk steps
-# t = sqrt(a*d + n) through the classes of RootTable.roots(a), so every
-# step lands on a neighbour. a*d + n = t*t needs t*t = n (mod a), so a
-# seed without such a root has no neighbour: RootTable.solvable marks the
-# seeds up to low that have one, by slice writes over the sieve's primes,
-# and only those are walked (13 855 of 75 000 for n = -2 at limit
-# 3*10^5).
-# The seeds above low are never factored or walked. Their lists come from
-# regular extensions: if a*d + n = r*r, then e = a + d + 2r gives
-# a*e + n = (a + r)^2 and d*e + n = (d + r)^2. This is exact for d > low:
-# - a root r in [0, d) of x^2 = n (mod d) is either sqrt(n), or
-#   sqrt(a*d + n) for exactly one lower partner a = (r*r - n)/d, since
-#   d > |n| (r*r - n lies in (-d, d*d) and is a multiple of d);
-# - an upper partner e has sqrt(d*e + n) = r + j*d with j >= 1, and
-#   j >= 2 gives e > 4d - 1 >= limit, so each class holds at most one
-#   partner in range, at j = 1: e = a + d + 2r, or d + 2*sqrt(n);
-# - a lower partner a > low would give e > 4*low + 5 > limit, so every e
-#   in range comes from a pair (a, d) with a <= low, which the walks found.
-# So for each pair (a, d) with a <= low < d, the walk of a also emits its
-# extension e while e <= limit (e rises with d), and d's list gathers
-# these by a counting sort in seed order, after d + 2*sqrt(n) for a
-# square n: within one d, e rises with a, so each list is ascending. The
-# sort fills the CSR's one offset array in place, and reads each e's d
-# back from its seed's stored list.
-# Stage 2 grows cliques depth first, seeds ascending: the children of a
-# node through candidate d are d's stored upper neighbours among the
-# node's candidates. Children exceed the current maximum, so every tuple
-# is visited once, in lexicographic order, and the last candidate has no
-# children. A seed with no upper neighbour, and a child with no children
-# or one childless child, is counted without a descent when it cannot be
-# reported; a capped search that stops early counts only the seeds
-# before the stop.
-# A leaf has no common upper neighbour, so it is maximal iff no lower
-# neighbour of its top member is adjacent to all other members: one walk
-# of top's classes below top lists the lower neighbours, and
-# tuples.extenders, the filter extend() uses, looks for one adjacent to
-# the rest. candidates_tested counts the pairs and the adjacency entries
-# read in stage 2 (the lengths of the adjacency lists of a node's
-# candidates) and the lower neighbours the leaf walks list.
-#
-# Both stages run seed by seed, so both split over blocks of consecutive
-# seeds (stage 1 over [1, low], stage 2 over [1, limit]) that
-# workers.fork_map runs and returns in block order, which is seed order.
-# Stage 1 blocks return their neighbours, per-seed counts, extensions and
-# the spans that hold the extensions' d, spliced into the CSR; stage 2
-# workers, forked once the CSR and the root table are built, return each
-# block's element lists, each with the counters as they stood when it was
-# found, and the block's counters. So the tuples are lexicographic, the
-# counters sum, and the report is byte-identical for any number of
-# workers. A capped search stops at the tuple that reaches the cap, with
-# the counters of the blocks before it plus those recorded with that
-# tuple: what one pass over the seeds that stopped there would count. Each
-# stage forks only when its own work clears its floor in workers.jobs_for
-# (FORK_MIN_SEEDS live seeds for stage 1, FORK_MIN_PAIRS weighted pairs
-# for stage 2); otherwise its blocks run in one process, in turn, so a
-# capped stage 2 there stops after the block that reaches the cap.
+# Bounded exhaustive search for maximal D(n) tuples inside [1, limit], in
+# two stages, the shape of the brute-force oracle (tests/naive_oracle.py):
+# pair_graph builds the pairs, and stream_maximal grows their cliques.
+# Both run seed by seed, over blocks of consecutive seeds (stage 1 over
+# [1, low], stage 2 over [1, limit]) that workers.fork_map runs and
+# returns in block order, which is seed order: in forked workers once the
+# stage's work clears its floor (below), else in one process, in turn, so
+# a capped stage 2 there stops after the block that reaches the cap.
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import closing
 from itertools import accumulate, chain, compress, pairwise, repeat
 from math import isqrt
@@ -165,8 +111,8 @@ class SearchReport:
     traversal, whether or not it cleared min_report_size; it is a lower
     bound for the true maximum over [1, limit]. When the cap stops a
     search, it, nodes_visited and candidates_tested count the traversal
-    up to the last reported tuple; candidates_tested also counts the pair
-    graph, which is built over every seed first.
+    up to the last reported tuple; candidates_tested starts at the pair
+    count, len(pair_graph(n, limit).adj), built over every seed first.
     """
 
     __slots__ = ("config", "maximal_tuples", "empirical_max_size", "nodes_visited",
@@ -175,9 +121,7 @@ class SearchReport:
     def __init__(self, config: SearchConfig):
         self.config = config
         self.maximal_tuples: list[DTuple] = []
-        self.empirical_max_size = 0
-        self.nodes_visited = 0
-        self.candidates_tested = 0
+        self.empirical_max_size = self.nodes_visited = self.candidates_tested = 0
         self.result_cap_exceeded = False
 
 
@@ -188,34 +132,54 @@ def search_maximal(config: SearchConfig) -> SearchReport:
     return report
 
 
-def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
-    """Yield every maximal D(n) tuple within [1, limit] of size >= min_report_size.
+# Stage 1 stores each seed a's upper neighbours
+# {d in (a, limit] : a*d + n square} in a CSR: an int32 array of
+# neighbours and one of per-seed offsets. The seeds a <= low, with
+# low = min(limit, max(limit // 4, |n|)), are walked: residues.walk steps
+# t = sqrt(a*d + n) through the classes of RootTable.roots(a), so every
+# step lands on a neighbour. a*d + n = t*t needs t*t = n (mod a), so a
+# seed without such a root has no neighbour: RootTable.solvable marks the
+# seeds up to low that have one, by slice writes over the sieve's primes,
+# and only those are walked (13 855 of 75 000 for n = -2 at limit
+# 3*10^5).
+# The seeds above low are never factored or walked. Their lists come from
+# regular extensions: if a*d + n = r*r, then e = a + d + 2r gives
+# a*e + n = (a + r)^2 and d*e + n = (d + r)^2. This is exact for d > low:
+# - a root r in [0, d) of x^2 = n (mod d) is either sqrt(n), or
+#   sqrt(a*d + n) for exactly one lower partner a = (r*r - n)/d, since
+#   d > |n| (r*r - n lies in (-d, d*d) and is a multiple of d);
+# - an upper partner e has sqrt(d*e + n) = r + j*d with j >= 1, and
+#   j >= 2 gives e > 4d - 1 >= limit, so each class holds at most one
+#   partner in range, at j = 1: e = a + d + 2r, or d + 2*sqrt(n);
+# - a lower partner a > low would give e > 4*low + 5 > limit, so every e
+#   in range comes from a pair (a, d) with a <= low, which the walks found.
+# So for each pair (a, d) with a <= low < d, the walk of a also emits its
+# extension e while e <= limit (e rises with d), and d's list gathers
+# these by a counting sort in seed order, after d + 2*sqrt(n) for a
+# square n: within one d, e rises with a, so each list is ascending. The
+# sort fills the CSR's one offset array in place, and reads each e's d
+# back from its seed's stored list.
+class PairGraph(NamedTuple):
+    """The graph on [1, limit] whose edges are the pairs {a, d} with a*d + n square."""
 
-    The search is report.config, and its counters go into report (a new
-    one); they are final once the stream has ended. Each tuple is
-    verified and yielded as its block of seeds is read, so the stream
-    holds one block's tuples at a time. Closing the stream early, or an
-    error, kills and reaps every worker.
+    n: int
+    limit: int
+    adj: array  # the CSR of the upper neighbours (see pair_graph)
+    start: array
+    roots: Callable[[int], tuple[int, ...]]  # the root table's, which down walks
 
-    Maximal means extend(t, 1, limit) is empty: nothing in range extends
-    the tuple, below or above its maximum. Output order is lexicographic
-    on element lists and byte-stable across reruns, whatever the number
-    of workers. With max_results set, the stream ends after the first
-    that many tuples and report is flagged result_cap_exceeded once they
-    are reached (a deterministic prefix, never a silent truncation); the
-    whole pair graph is still built first, and the clique growth stops at
-    the block of seeds that holds the last kept tuple.
+    def up(self, a: int) -> array:
+        """The neighbours of a above a, ascending."""
+        return self.adj[self.start[a]:self.start[a + 1]]
 
-    Only the seeds a <= low = min(limit, max(limit // 4, |n|)) are
-    factored and walked. The upper neighbours of a seed d > low are the
-    regular extensions of its pairs with them, plus d + 2*sqrt(n) for a
-    square n (see the header).
-    """
-    config = report.config
-    n, limit = config.n, config.limit
-    min_report, max_results = config.min_report_size, config.max_results
+    def down(self, a: int) -> list[int]:
+        """The neighbours of a below a, ascending, by one walk of a's classes."""
+        return walk(a, self.n, self.roots(a), 1, a - 1)
+
+
+def pair_graph(n: int, limit: int) -> PairGraph:
+    """The pair graph of D(n) on [1, limit], built by stage 1 (above)."""
     table = RootTable(n, smallest_factor_sieve(limit))
-    roots = table.roots
     low = min(limit, max(limit // 4, abs(n)))
     # a*d + n = r*r needs r*r = n (mod a): only seeds with a root have partners
     live = table.solvable(low)
@@ -229,7 +193,7 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
         chunk, ext, spans = array("i"), array("i"), array("i")
         counts = array("i", [0]) * (hi - lo)
         for a in compress(range(lo, hi), live[lo:hi]):
-            up = walk(a, n, roots(a), a + 1, limit)
+            up = walk(a, n, table.roots(a), a + 1, limit)
             i = len(chunk) + bisect_right(up, low)  # a's first partner above low
             chunk.extend(up)
             counts[a - lo] = len(up)
@@ -277,22 +241,58 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
         i = start[d + 1]  # where d's next entry goes
         adj[i] = e
         start[d + 1] = i + 1
-    del ext, spans
+    return PairGraph(n, limit, adj, start, table.roots)
+
+
+# Stage 2 grows cliques depth first, seeds ascending: the children of a
+# node through candidate d are d's upper neighbours among the node's
+# candidates. Children exceed the current maximum, so every tuple is
+# visited once, in lexicographic order, and the last candidate has no
+# children. A seed with no upper neighbour, and a child with no children
+# or one childless child, is counted without a descent when it cannot be
+# reported.
+# A leaf has no common upper neighbour, so it is maximal iff no lower
+# neighbour of its top member is adjacent to all other members: down(top)
+# lists them by one walk of top's classes, and tuples.extenders, the
+# filter extend() uses, looks for one adjacent to the rest.
+# candidates_tested counts the pairs, the adjacency entries stage 2 reads
+# (the lengths of the lists of a node's candidates) and the lower
+# neighbours the leaf walks list.
+# Stage 2 workers, forked once pair_graph has returned, inherit the graph
+# and return each block's tuples, each with the counters as they stood
+# when it was found, and the block's counters. So the tuples are
+# lexicographic, the counters sum, and the report is byte-identical for
+# any number of workers. A capped search stops at the tuple that reaches
+# the cap, with the counters of the blocks before it plus those recorded
+# with that tuple: what one pass over the seeds that stopped there would
+# count.
+def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
+    """Yield every maximal D(n) tuple within [1, limit] of size >= min_report_size.
+
+    The search is report.config, and its counters go into report (a new
+    one). Each tuple is verified and yielded as its block of seeds is
+    read, so the stream holds one block's tuples at a time. Closing the
+    stream early, or an error, kills and reaps every worker.
+
+    Maximal means extend(t, 1, limit) is empty: nothing in range extends
+    the tuple, below or above its maximum. Output order is lexicographic
+    on element lists and byte-stable across reruns, whatever the number
+    of workers. With max_results set, the stream ends after the first
+    that many tuples and report is flagged result_cap_exceeded once they
+    are reached (a deterministic prefix, never a silent truncation); the
+    whole pair graph is still built first, and the clique growth stops at
+    the block of seeds that holds the last kept tuple.
+    """
+    n, limit, min_report, max_results = report.config
+    graph = pair_graph(n, limit)
 
     def grow(lo: int, hi: int) -> tuple[list, int, int, int]:
         # stage 2 on seeds [lo, hi): the reported tuples, each as its
         # elements with the largest size, nodes and candidates counted up
         # to it, then the block's totals of those three
+        adj, start = graph.adj, graph.start
         found: list[tuple[tuple[int, ...], int, int, int]] = []
         best = nodes = cands = 0
-
-        def has_left_extension(stack: list[int]) -> bool:
-            # only lower neighbours of top can extend a leaf (see above)
-            nonlocal cands
-            top = stack[-1]
-            below = walk(top, n, roots(top), 1, top - 1)
-            cands += len(below)
-            return next(extenders(below, set(stack), stack[-2::-1], n), None) is not None
 
         def explore(stack: list[int], kids: array | list[int]) -> None:
             nonlocal best, nodes, cands
@@ -327,8 +327,12 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
                     stack.append(d)
                     explore(stack, grand)
                     stack.pop()
-            elif size >= min_report and not has_left_extension(stack):
-                found.append((tuple(stack), best, nodes, cands))
+            elif size >= min_report:
+                # only lower neighbours of top can extend a leaf (see above)
+                below = graph.down(stack[-1])
+                cands += len(below)
+                if next(extenders(below, set(stack), stack[-2::-1], n), None) is None:
+                    found.append((tuple(stack), best, nodes, cands))
 
         seeds = range(lo, hi)
         if min_report > 1:
@@ -341,7 +345,7 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
                 nodes += a - counted
                 best = best or 1
             if a < hi:
-                explore([a], adj[start[a]:start[a + 1]])
+                explore([a], graph.up(a))
             counted = a + 1
         # explore refers to itself; the cycle would keep this block's tuples
         # and the CSR alive until the cyclic collector ran
@@ -349,10 +353,9 @@ def stream_maximal(report: SearchReport) -> Iterator[DTuple]:
         return found, best, nodes, cands
 
     # stage 2: cliques seed by seed, read in block order up to the cap
-    report.candidates_tested = len(adj)
+    report.candidates_tested = len(graph.adj)
     # below min size 4 a pair costs about 8 times the clique growth (see FORK_MIN_SEEDS)
-    weight = 8 if min_report <= 3 else 1
-    jobs = jobs_for(weight * len(adj), FORK_MIN_PAIRS)
+    jobs = jobs_for((8 if min_report <= 3 else 1) * len(graph.adj), FORK_MIN_PAIRS)
     count = 0
     with closing(fork_map(grow, seed_blocks(limit, jobs), jobs)) as parts:
         for found, best, nodes, cands in parts:
@@ -390,7 +393,4 @@ def empirical_max_size(n: int, limit: int) -> int:
     a heuristic, and serves as the desk-scale lower bound for the true
     maximum tuple size.
     """
-    report = SearchReport(SearchConfig(n, limit, min_report_size=limit + 2))
-    for _ in stream_maximal(report):  # min_report_size above limit: nothing to yield
-        pass
-    return report.empirical_max_size
+    return search_maximal(SearchConfig(n, limit, min_report_size=limit + 2)).empirical_max_size

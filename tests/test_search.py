@@ -277,17 +277,18 @@ def test_each_stage_forks_by_its_own_work(monkeypatch, n, limit, min_size, live,
         pass
 
     calls = spy_fork_map(monkeypatch, 2)
-    fork_map = search.fork_map
-
-    def stop_at_stage_2(fn, blocks, jobs):
-        if calls:  # stage 1 has run; the decision for stage 2 is all this needs
-            calls.append((jobs, len(blocks)))
-            raise Stage2
-        return fork_map(fn, blocks, jobs)
-
-    monkeypatch.setattr(search, "fork_map", stop_at_stage_2)
     low = walked(n, limit)
     assert RootTable(n, smallest_factor_sieve(limit)).solvable(low).count(1) == live
+    graph = search.pair_graph(n, limit)
+    assert len(graph.adj) == pairs
+
+    def stop_at_stage_2(fn, blocks, jobs):
+        calls.append((jobs, len(blocks)))  # the decision for stage 2 is all this needs
+        raise Stage2
+
+    # stage 2 grows the graph just built, not a second copy
+    monkeypatch.setattr(search, "pair_graph", lambda n, limit: graph)
+    monkeypatch.setattr(search, "fork_map", stop_at_stage_2)
     report = SearchReport(SearchConfig(n, limit, min_size))
     with pytest.raises(Stage2):
         next(search.stream_maximal(report))
@@ -311,31 +312,41 @@ def test_sharded_search_equals_in_process(monkeypatch, jobs):
                          (jobs, len(search.seed_blocks(300, jobs)))]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_every_list_stage_2_reads_is_the_direct_walk(monkeypatch, jobs):
     # the lists above low come from regular extensions and a counting
     # sort; each must equal the walk of its own seed. -1000 at 2 000 has
     # |n| > limit // 4, so low is |n| there
-    graphs = []
-    force_workers(monkeypatch, jobs)
-    fork_map = search.fork_map
-
-    def spy(fn, blocks, jobs):
-        if fn.__name__ == "grow":  # stage 2 reads the CSR from its closure
-            cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
-            graphs.append((cells["adj"].cell_contents, cells["start"].cell_contents))
-        return fork_map(fn, blocks, jobs)
-
-    monkeypatch.setattr(search, "fork_map", spy)
+    calls = force_workers(monkeypatch, jobs)
     for n, limit in [(4, 3000), (9, 3000), (-2, 3000), (-6, 3000), (1, 3000), (-1, 3000),
                      (-1000, 2000)]:
-        empirical_max_size(n, limit)
-        adj, start = graphs.pop()
+        calls.clear()
+        graph = search.pair_graph(n, limit)
+        assert calls == [(jobs, len(search.seed_blocks(walked(n, limit), jobs)))]
+        adj, start = graph.adj, graph.start
         assert len(start) == limit + 2 and start[1] == 0 and start[-1] == len(adj)
         roots = RootTable(n, smallest_factor_sieve(limit)).roots
         assert walked(n, limit) < limit
         for a in range(1, limit + 1):
-            assert list(adj[start[a]:start[a + 1]]) == walk(a, n, roots(a), a + 1, limit), (n, a)
+            assert list(graph.up(a)) == walk(a, n, roots(a), a + 1, limit), (n, a)
+        # down is the transpose of up: d in up(a) exactly when a in down(d)
+        ups = {(a, d) for a in range(1, limit + 1) for d in graph.up(a)}
+        assert ups == {(a, d) for d in range(1, limit + 1) for a in graph.down(d)}, n
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (-1, 2), (-2, 2), (-2, 3), (2, 5), (3, 2),
+                                  (-3, 3)])
+def test_pair_graph_scales_by_k_squared(monkeypatch, n, k):
+    # a*b + n = r*r exactly when (k*a)*(k*b) + k*k*n = (k*r)^2, so the
+    # D(k^2 n) pairs inside k*Z, divided by k, are the D(n) pairs, edge for
+    # edge. The two graphs come from different prime-power branches and
+    # root classes (k divides k^2 n), and the larger one from 2 workers
+    limit = 20_000
+    small = search.pair_graph(n, limit)
+    force_workers(monkeypatch, 2)
+    big = search.pair_graph(k * k * n, k * limit)
+    for a in range(1, limit + 1):
+        assert list(small.up(a)) == [d // k for d in big.up(k * a) if d % k == 0], (n, k, a)
 
 
 def test_sparse_search_memory_is_pinned(monkeypatch):
@@ -620,3 +631,19 @@ def test_failed_fork_fails_the_search(monkeypatch, capsys):
     assert err.startswith("internal error: WorkerError(") and "cannot fork" in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_perfbench_traces_the_search_it_runs():
+    # perfbench's tracer rebinds names it finds in dntuple.search (RootTable,
+    # smallest_factor_sieve, verify); one that is renamed away is skipped
+    # with a warning, and its layer metrics read 0 while the digest holds
+    bench = pathlib.Path(__file__).parents[1] / "perfbench"
+    run = subprocess.run([sys.executable, str(bench / "worker.py"), "--workload", "dense_enum",
+                          "--n", "4", "--spawned", "0", "--trace"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    [op] = json.loads(run.stdout)["ops"]
+    reference = json.loads((bench / "reference.json").read_text(encoding="utf-8"))
+    assert op["ok"] and op["digest"] == reference["dense_enum"]["4"][0]
+    assert [line for line in run.stderr.splitlines() if "not found" in line and (
+        "dntuple.search." in line or "dntuple.residues." in line)] == []
